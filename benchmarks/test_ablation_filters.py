@@ -12,19 +12,20 @@ import dataclasses
 
 from repro.core.simulator import ParrotSimulator
 from repro.experiments.aggregate import geomean
-from repro.experiments.runner import bench_scale
+from repro.experiments.engine import Scale
 from repro.models.configs import model_ton
 from repro.workloads.suite import benchmark_suite
 
 
 def _run_grid(config, apps, length):
     simulator = ParrotSimulator(config)
-    return [simulator.run(app, length) for app in apps]
+    return [simulator.simulate(app, length=length) for app in apps]
 
 
 def _sweep():
-    max_apps, length = bench_scale()
-    apps = benchmark_suite(max_apps=min(max_apps or 8, 8))
+    scale = Scale.from_environment()
+    apps = benchmark_suite(max_apps=min(scale.apps or 8, 8))
+    length = scale.length
     baseline = model_ton()
     variants = {
         "selective (default)": baseline,

@@ -13,7 +13,7 @@ import dataclasses
 
 from repro.core.simulator import ParrotSimulator
 from repro.experiments.aggregate import geomean
-from repro.experiments.runner import bench_scale
+from repro.experiments.engine import Scale
 from repro.models.configs import model_ton
 from repro.optimizer.pipeline import OptimizerConfig
 from repro.workloads.suite import benchmark_suite
@@ -22,12 +22,16 @@ LATENCIES = (10, 100, 1000)
 
 
 def _sweep():
-    max_apps, length = bench_scale()
-    apps = benchmark_suite(max_apps=min(max_apps or 8, 8))
+    scale = Scale.from_environment()
+    apps = benchmark_suite(max_apps=min(scale.apps or 8, 8))
+    length = scale.length
     rows = {}
     for latency in LATENCIES:
         config = model_ton(optimizer=OptimizerConfig(latency_cycles=latency))
-        results = [ParrotSimulator(config).run(app, length) for app in apps]
+        results = [
+            ParrotSimulator(config).simulate(app, length=length)
+            for app in apps
+        ]
         rows[latency] = {
             "ipc": geomean([r.ipc for r in results]),
             "optimized_execs": sum(

@@ -8,22 +8,26 @@ optimizations (constant propagation, logic simplification, DCE) alone.
 
 from repro.core.simulator import ParrotSimulator
 from repro.experiments.aggregate import geomean
-from repro.experiments.runner import bench_scale
+from repro.experiments.engine import Scale
 from repro.models.configs import model_ton
 from repro.optimizer.pipeline import OptimizerConfig
 from repro.workloads.suite import benchmark_suite
 
 
 def _sweep():
-    max_apps, length = bench_scale()
-    apps = benchmark_suite(max_apps=min(max_apps or 8, 8))
+    scale = Scale.from_environment()
+    apps = benchmark_suite(max_apps=min(scale.apps or 8, 8))
+    length = scale.length
     variants = {
         "generic only": model_ton(optimizer=OptimizerConfig(enable_core_specific=False)),
         "full optimizer": model_ton(),
     }
     rows = {}
     for name, config in variants.items():
-        results = [ParrotSimulator(config).run(app, length) for app in apps]
+        results = [
+            ParrotSimulator(config).simulate(app, length=length)
+            for app in apps
+        ]
         rows[name] = {
             "ipc": geomean([r.ipc for r in results]),
             "energy": geomean([r.total_energy for r in results]),

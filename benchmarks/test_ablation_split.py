@@ -9,17 +9,21 @@ only as a reference — this ablation quantifies the trade in our model.
 
 from repro.core.simulator import ParrotSimulator
 from repro.experiments.aggregate import geomean
-from repro.experiments.runner import bench_scale
+from repro.experiments.engine import Scale
 from repro.models.configs import model_config
 from repro.workloads.suite import benchmark_suite
 
 
 def _sweep():
-    max_apps, length = bench_scale()
-    apps = benchmark_suite(max_apps=min(max_apps or 8, 8))
+    scale = Scale.from_environment()
+    apps = benchmark_suite(max_apps=min(scale.apps or 8, 8))
+    length = scale.length
     rows = {}
     for name in ("TOW", "TOS"):
-        results = [ParrotSimulator(model_config(name)).run(app, length) for app in apps]
+        results = [
+            ParrotSimulator(model_config(name)).simulate(app, length=length)
+            for app in apps
+        ]
         rows[name] = {
             "ipc": geomean([r.ipc for r in results]),
             "energy": geomean([r.total_energy for r in results]),

@@ -14,7 +14,7 @@ import dataclasses
 
 from repro.core.simulator import ParrotSimulator
 from repro.experiments.aggregate import arithmetic_mean
-from repro.experiments.runner import bench_scale
+from repro.experiments.engine import Scale
 from repro.models.configs import model_ton
 from repro.workloads.suite import benchmark_suite
 
@@ -22,12 +22,16 @@ SIZES = (64, 256, 16 * 1024)
 
 
 def _sweep():
-    max_apps, length = bench_scale()
-    apps = benchmark_suite(max_apps=min(max_apps or 8, 8))
+    scale = Scale.from_environment()
+    apps = benchmark_suite(max_apps=min(scale.apps or 8, 8))
+    length = scale.length
     rows = {}
     for size in SIZES:
         config = dataclasses.replace(model_ton(), tcache_uops=size)
-        results = [ParrotSimulator(config).run(app, length) for app in apps]
+        results = [
+            ParrotSimulator(config).simulate(app, length=length)
+            for app in apps
+        ]
         rows[size] = {
             "coverage": arithmetic_mean([r.coverage for r in results]),
             "evictions": sum(

@@ -14,7 +14,7 @@ Scale follows the ``REPRO_BENCH_*`` knobs: ``REPRO_BENCH_LENGTH``
 re-simulates the grid every round, so it keeps its own smaller roster
 default), ``REPRO_BENCH_JOBS`` (default: all cores) and
 ``REPRO_BENCH_BACKEND`` (execution backend for the engine grid:
-``scalar``, ``columnar`` or ``compiled``; default scalar).  Like the
+``scalar`` or ``compiled``; default scalar).  Like the
 hot-path benchmark this is a trajectory, not a gate: throughput lands in
 ``benchmark.extra_info`` and the perf-smoke job archives the JSON as
 ``BENCH_grid.json``.
@@ -26,7 +26,7 @@ import os
 import shutil
 import tempfile
 
-from repro.core.simulator import ParrotSimulator
+from repro.core.simulator import ParrotSimulator, RunOptions
 from repro.experiments.engine import (
     ExperimentEngine,
     default_jobs,
@@ -51,8 +51,8 @@ TASKS = [
 def legacy_task(model_name: str, app_name: str, length: int,
                 sampling=None) -> dict:
     """The pre-artifact worker: fresh simulator + generator walk per cell."""
-    result = ParrotSimulator(model_config(model_name)).run(
-        application(app_name), length, sampling=sampling
+    result = ParrotSimulator(model_config(model_name)).simulate(
+        application(app_name), RunOptions(sampling=sampling), length=length
     )
     return result.to_dict()
 

@@ -10,10 +10,8 @@ Reference trajectory on the development machine (swim, TON, 100k):
 
 * pre-optimization seed: ~137k instr/s
 * after the static-structure memoization + batch-executor PR: ~455k instr/s
-* after the columnar backend (artifact replay + columnar plans):
-  ~722k instr/s full detail (2.2x the scalar generator path), and past
-  3x once sampling compounds on top (the ratios land in
-  ``extra_info`` of the columnar benchmark below).
+* after a since-removed columnar backend (artifact replay + columnar
+  plans): ~722k instr/s full detail (2.2x the scalar generator path).
 * after the compiled backend (per-plan generated replay functions):
   ~1.2M instr/s full detail — 1.1-1.3x the warmed columnar stack
   (1.30x on the archived round) and ~2.8x the scalar generator path.
@@ -30,12 +28,11 @@ Reference trajectory on the development machine (swim, TON, 100k):
   the scalar reference ~17% slower, i.e. the like-for-like gain is
   larger than the headline delta.
 
-The columnar and compiled benchmarks also run interleaved reference
-rounds of the other backends so the archived JSON carries
-``speedup_vs_scalar``, ``speedup_vs_columnar`` and
-``sampled_speedup_vs_scalar`` next to the raw throughput — the parity
-suites (``tests/test_columnar.py``, ``tests/test_specialize.py``) pin
-all three backends bit-identical, so the ratios are pure-speed numbers.
+The compiled benchmark also runs interleaved reference rounds of the
+scalar generator path and of the sampled regime, so the archived JSON
+carries ``speedup_vs_scalar`` and ``sampled_speedup_vs_scalar`` next to
+the raw throughput — the parity suite (``tests/test_specialize.py``)
+pins both backends bit-identical, so the ratios are pure-speed numbers.
 
 Scale follows ``REPRO_BENCH_LENGTH`` (default 20000) so CI can run a tiny
 smoke variant of the same benchmark.
@@ -84,66 +81,15 @@ def test_single_run_throughput(benchmark):
     assert result.cycles > 0
 
 
-def test_columnar_run_throughput(benchmark):
-    """The columnar stack: artifact replay + shared plans + columnar.
-
-    This times what a grid cell pays once the worker memo is warm —
-    compiled artifact, shared segment list, a populated
-    :class:`ColdPlanCache` — which is where the columnar executors run in
-    production.  The scalar reference round below walks the generator
-    path, i.e. the pre-stack cost of the same cell.
-    """
-    app = application("swim")
-    config = model_config("TON")
-
-    with tempfile.TemporaryDirectory(prefix="repro-hotpath-") as workdir:
-        artifact = compile_artifact(app, app.seed, LENGTH, root=workdir)
-        segments = artifact.segments()
-        columnar = RunOptions(
-            backend=ExecutionBackend.COLUMNAR,
-            segments=segments, cold_plans=ColdPlanCache(segments),
-        )
-        _simulate(artifact, config, columnar)  # warm plans + caches
-
-        result = benchmark(_simulate, artifact, config, columnar)
-
-        seconds = benchmark.stats.stats.mean
-        benchmark.extra_info["instructions"] = LENGTH
-        benchmark.extra_info["instructions_per_second"] = round(
-            LENGTH / seconds
-        )
-
-        # Reference rounds for the archived ratios: the scalar generator
-        # path (what test_single_run_throughput times) and the sampled
-        # regime compounding on top of the columnar stack.
-        scalar_seconds = min(
-            _timeit(_simulate, app, config, RunOptions(), length=LENGTH)
-            for _ in range(3)
-        )
-        sampled = RunOptions(
-            sampling=SamplingConfig(), backend=ExecutionBackend.COLUMNAR
-        )
-        sampled_seconds = min(
-            _timeit(_simulate, artifact, config, sampled) for _ in range(3)
-        )
-        benchmark.extra_info["speedup_vs_scalar"] = round(
-            scalar_seconds / seconds, 2
-        )
-        benchmark.extra_info["sampled_speedup_vs_scalar"] = round(
-            scalar_seconds / sampled_seconds, 2
-        )
-
-    assert result.ipc > 0
-    assert result.cycles > 0
-
-
 def test_compiled_run_throughput(benchmark):
     """The compiled stack: artifact replay + per-plan generated code.
 
-    Same warmed-cell shape as the columnar benchmark above, with the
-    specialized backend doing the replay.  The reference rounds run the
-    columnar stack and the scalar generator path interleaved in the same
-    process, so ``speedup_vs_columnar`` / ``speedup_vs_scalar`` are
+    This times what a grid cell pays once the worker memo is warm —
+    compiled artifact, shared segment list, a populated
+    :class:`ColdPlanCache`.  The reference rounds run the scalar
+    generator path (the pre-stack cost of the same cell) and the sampled
+    regime on the compiled stack interleaved in the same process, so
+    ``speedup_vs_scalar`` / ``sampled_speedup_vs_scalar`` are
     same-machine-state ratios rather than cross-process noise.
     """
     app = application("swim")
@@ -157,12 +103,11 @@ def test_compiled_run_throughput(benchmark):
             backend=ExecutionBackend.COMPILED,
             segments=segments, cold_plans=cold_plans,
         )
-        columnar = RunOptions(
-            backend=ExecutionBackend.COLUMNAR,
-            segments=segments, cold_plans=cold_plans,
+        sampled = RunOptions(
+            sampling=SamplingConfig(), backend=ExecutionBackend.COMPILED
         )
         _simulate(artifact, config, compiled)  # warm plans + caches
-        _simulate(artifact, config, columnar)
+        _simulate(artifact, config, sampled)
 
         result = benchmark(_simulate, artifact, config, compiled)
 
@@ -175,25 +120,25 @@ def test_compiled_run_throughput(benchmark):
         # Reference rounds alternate backends: sustained load drifts CPU
         # frequency, so measuring each backend in its own block would
         # credit whichever ran while the machine was fastest.
-        compiled_seconds = columnar_seconds = scalar_seconds = float("inf")
+        compiled_seconds = sampled_seconds = scalar_seconds = float("inf")
         for _ in range(3):
             compiled_seconds = min(
                 compiled_seconds, _timeit(_simulate, artifact, config,
                                           compiled)
             )
-            columnar_seconds = min(
-                columnar_seconds, _timeit(_simulate, artifact, config,
-                                          columnar)
+            sampled_seconds = min(
+                sampled_seconds, _timeit(_simulate, artifact, config,
+                                         sampled)
             )
             scalar_seconds = min(
                 scalar_seconds, _timeit(_simulate, app, config,
                                         RunOptions(), length=LENGTH)
             )
-        benchmark.extra_info["speedup_vs_columnar"] = round(
-            columnar_seconds / compiled_seconds, 2
-        )
         benchmark.extra_info["speedup_vs_scalar"] = round(
             scalar_seconds / compiled_seconds, 2
+        )
+        benchmark.extra_info["sampled_speedup_vs_scalar"] = round(
+            scalar_seconds / sampled_seconds, 2
         )
 
     assert result.ipc > 0

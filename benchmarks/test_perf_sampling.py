@@ -34,7 +34,7 @@ from repro.sampling.config import SamplingConfig
 
 LENGTH = int(os.environ.get("REPRO_BENCH_SAMPLING_LENGTH", "200000"))
 
-BACKENDS = (ExecutionBackend.SCALAR, ExecutionBackend.COLUMNAR)
+BACKENDS = (ExecutionBackend.SCALAR, ExecutionBackend.COMPILED)
 
 
 def _frontier(root: str) -> dict:

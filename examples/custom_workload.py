@@ -79,7 +79,7 @@ def main() -> None:
     for model_name in ("N", "TN", "TON"):
         simulator = ParrotSimulator(model_config(model_name))
         stream = InstructionStream(StreamWalker(program, seed=1), length)
-        result = simulator.run_stream(
+        result = simulator.simulate(
             stream, app_name=program.name, suite="Custom", program=program
         )
         print(f"{model_name:4s} IPC={result.ipc:5.2f}  "

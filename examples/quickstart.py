@@ -25,7 +25,7 @@ def main() -> None:
     results = {}
     for model_name in ("N", "TON"):
         config = model_config(model_name)
-        result = ParrotSimulator(config).run(app, length)
+        result = ParrotSimulator(config).simulate(app, length=length)
         results[model_name] = result
         print(f"model {model_name:3s} — {config.description}")
         print(f"  IPC               {result.ipc:8.3f}")

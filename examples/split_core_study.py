@@ -33,7 +33,10 @@ def sweep(apps, length):
             )
     rows = {}
     for name, config in variants.items():
-        results = [ParrotSimulator(config).run(app, length) for app in apps]
+        results = [
+            ParrotSimulator(config).simulate(app, length=length)
+            for app in apps
+        ]
         rows[name] = {
             "ipc": geomean([r.ipc for r in results]),
             "energy": geomean([r.total_energy for r in results]),

@@ -53,7 +53,7 @@ examples:
   repro run swim --model TON --length 20000
   repro run swim --model TON --length 200000 --sampling
   repro run swim --model TON --backend compiled
-  repro profile swim TON --length 20000 --backend columnar
+  repro profile swim TON --length 20000 --backend compiled
   repro sweep --models N,TON --apps 15 --jobs 4
   repro sweep --models N,TON --length 200000 --sampling
   repro figure fig4_1 headline --apps all
@@ -142,9 +142,9 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend", default=None,
         choices=[b.value for b in ExecutionBackend],
-        help="batch executor for planned segments; all backends are "
-             "bit-identical, columnar is faster, compiled (per-plan "
-             "generated code) is fastest "
+        help="batch executor for planned segments: scalar is the "
+             "reference; compiled (per-plan generated code) is "
+             "bit-identical and pays off once its plans are warm "
              "(default: REPRO_BENCH_BACKEND or scalar)",
     )
 

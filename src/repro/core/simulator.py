@@ -51,13 +51,7 @@ from repro.frontend.branch_predictor import BranchPredictor
 from repro.frontend.fetch import FetchParams, plan_cold_groups, trace_fetch_cycles
 from repro.frontend.trace_predictor import TracePredictor
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.pipeline.columnar import (
-    ExecutionBackend,
-    compile_cold_columnar,
-    compile_hot_columnar,
-    run_cold_columnar,
-    run_hot_columnar,
-)
+from repro.pipeline.columnar import ExecutionBackend
 from repro.pipeline.specialize import (
     compile_cold_specialized,
     compile_hot_specialized,
@@ -185,8 +179,8 @@ class _Machine:
         # segment's instruction path, which a *complete* segment's TID
         # fully determines; incomplete tail segments can alias a real TID
         # and are never cached.  Private per run by default; the artifact
-        # fast path passes a dict shared by every model with the same
-        # fetch parameters over the same segment list.
+        # fast path passes a dict (from a ColdPlanCache) shared by every
+        # model with the same fetch parameters over the same segment list.
         self.cold_plans: dict[TraceId, tuple] = (
             {} if cold_plans is None else cold_plans
         )
@@ -212,8 +206,7 @@ class SampledRun:
 class RunOptions:
     """How to simulate a source — the options half of :meth:`simulate`.
 
-    One immutable bundle replaces the kwarg spread of the four legacy
-    entry points:
+    One immutable bundle of every per-run choice:
 
     * ``sampling`` — sampled simulation (detail intervals + fast-forward);
       ``None`` falls back to ``config.sampling``, which is ``None`` — full
@@ -222,14 +215,15 @@ class RunOptions:
       paper's 30-100M-instruction traces amortise compulsory misses; our
       much shorter runs must not be dominated by them);
     * ``backend`` — which batch executor evaluates planned segments (see
-      :class:`~repro.pipeline.columnar.ExecutionBackend`); both are
-      bit-identical, columnar is faster;
+      :class:`~repro.pipeline.columnar.ExecutionBackend`): ``SCALAR``, the
+      default, is the reference; ``COMPILED`` is bit-identical and pays
+      off once its plans are warm;
     * ``segments`` — a precomputed segment partition of an artifact's
       stream (full-detail artifact runs only): segmentation is a pure
       function of the committed stream, so one partition is shared across
       every model simulating the same artifact;
     * ``cold_plans`` — a shared :class:`ColdPlanCache` over those
-      segments (or, deprecated, a bare per-(segment-list, fetch) dict);
+      segments;
     * ``estimate`` — return the :class:`SampledRun` (result + confidence
       intervals) instead of just the extrapolated result.
     """
@@ -238,27 +232,8 @@ class RunOptions:
     prewarm: bool = True
     backend: ExecutionBackend = ExecutionBackend.SCALAR
     segments: Sequence[TraceSegment] | None = None
-    cold_plans: "ColdPlanCache | dict | None" = None
+    cold_plans: "ColdPlanCache | None" = None
     estimate: bool = False
-
-    def fingerprint(self) -> str:
-        """Result-affecting identity, for persistent run keys.
-
-        Covers exactly the fields that select *what result is computed*:
-        the sampling plan and prewarming.  ``backend`` is included for
-        attributability (both backends are bit-identical, but a cached
-        row should name the executor that produced it); ``segments`` /
-        ``cold_plans`` are caches of pure functions of the stream and
-        ``estimate`` only changes the return shape, so none of them
-        belong in the key.
-        """
-        sampling = (
-            "off" if self.sampling is None else self.sampling.fingerprint()
-        )
-        return (
-            f"sampling={sampling}|prewarm={int(self.prewarm)}"
-            f"|backend={self.backend.value}"
-        )
 
 
 class ColdPlanCache:
@@ -267,12 +242,10 @@ class ColdPlanCache:
     Cold fetch-group plans are pure functions of (segment instruction
     path, fetch parameters), and complete segments are keyed by TID — so
     models with equal :class:`~repro.frontend.fetch.FetchParams` replaying
-    the *same* segment list can share compiled plans.  The historical
-    sharing contract was a docstring warning on ``run_artifact``: pass a
-    fresh dict per (application, fetch-parameter) pair, or TID aliasing
+    the *same* segment list can share compiled plans — but TID aliasing
     between applications could silently serve a stale plan.
 
-    This class turns that contract into code.  The cache holds a strong
+    This class enforces that contract.  The cache holds a strong
     reference to the segment list it was built over (list identity is the
     fingerprint — segment lists are never copied on the sharing paths),
     and :meth:`plans_for` refuses to serve plans for any other list.
@@ -474,116 +447,23 @@ class ParrotSimulator:
         """The machine's cold-plan dict under ``options`` (None = private).
 
         A :class:`ColdPlanCache` is validated against the segment list and
-        partitioned by (fetch parameters, backend); a bare dict is the
-        deprecated unvalidated contract, accepted scalar-only.
+        partitioned by (fetch parameters, backend).
         """
         cold_plans = options.cold_plans
         if cold_plans is None:
             return None
-        if isinstance(cold_plans, ColdPlanCache):
-            if segments is None:
-                raise SimulationError(
-                    f"{label}: a shared ColdPlanCache needs the matching "
-                    f"segments list in the same RunOptions"
-                )
-            return cold_plans.plans_for(
-                segments, self.config.fetch, options.backend
+        if not isinstance(cold_plans, ColdPlanCache):
+            raise SimulationError(
+                f"{label}: cold_plans must be a ColdPlanCache, "
+                f"not {type(cold_plans).__name__}"
             )
-        if isinstance(cold_plans, dict):
-            if options.backend is not ExecutionBackend.SCALAR:
-                raise SimulationError(
-                    f"{label}: bare cold-plan dicts predate backends and "
-                    f"are scalar-only; share a ColdPlanCache instead"
-                )
-            return cold_plans
-        raise SimulationError(
-            f"{label}: cold_plans must be a ColdPlanCache or dict, "
-            f"not {type(cold_plans).__name__}"
-        )
-
-    # -- deprecated entry points (thin shims over simulate()) --------------
-
-    def run(
-        self,
-        app: Application,
-        length: int,
-        *,
-        prewarm: bool = True,
-        sampling: SamplingConfig | None = None,
-    ) -> SimulationResult:
-        """Deprecated: ``simulate(app, RunOptions(...), length=...)``."""
-        warnings.warn(
-            "ParrotSimulator.run() is deprecated; use "
-            "simulate(app, RunOptions(...), length=...)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.simulate(
-            app, RunOptions(sampling=sampling, prewarm=prewarm),
-            length=length,
-        )
-
-    def run_sampled(
-        self,
-        app: Application,
-        length: int,
-        *,
-        prewarm: bool = True,
-        sampling: SamplingConfig | None = None,
-    ) -> SampledRun:
-        """Deprecated: ``simulate`` with ``RunOptions(estimate=True)``."""
-        warnings.warn(
-            "ParrotSimulator.run_sampled() is deprecated; use "
-            "simulate(app, RunOptions(sampling=..., estimate=True), "
-            "length=...)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.simulate(
-            app,
-            RunOptions(sampling=sampling, prewarm=prewarm, estimate=True),
-            length=length,
-        )
-
-    def run_stream(
-        self, stream: InstructionStream, *, app_name: str = "custom",
-        suite: str = "Custom", program: Program | None = None,
-    ) -> SimulationResult:
-        """Deprecated: ``simulate(stream, app_name=..., program=...)``."""
-        warnings.warn(
-            "ParrotSimulator.run_stream() is deprecated; use "
-            "simulate(stream, app_name=..., suite=..., program=...)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.simulate(
-            stream, app_name=app_name, suite=suite, program=program
-        )
-
-    def run_artifact(
-        self,
-        artifact,
-        *,
-        sampling: SamplingConfig | None = None,
-        segments: Sequence[TraceSegment] | None = None,
-        prewarm: bool = True,
-        cold_plans: dict[TraceId, tuple] | None = None,
-    ) -> SimulationResult:
-        """Deprecated: ``simulate(artifact, RunOptions(...))``."""
-        warnings.warn(
-            "ParrotSimulator.run_artifact() is deprecated; use "
-            "simulate(artifact, RunOptions(segments=..., cold_plans=...))",
-            DeprecationWarning, stacklevel=2,
-        )
-        resolved = sampling if sampling is not None else self.config.sampling
-        if resolved is not None:
-            # Historical behaviour: the sampled artifact path silently
-            # ignored shared caches (simulate() rejects the combination).
-            segments = None
-            cold_plans = None
-        return self.simulate(
-            artifact,
-            RunOptions(
-                sampling=sampling, prewarm=prewarm,
-                segments=segments, cold_plans=cold_plans,
-            ),
+        if segments is None:
+            raise SimulationError(
+                f"{label}: a shared ColdPlanCache needs the matching "
+                f"segments list in the same RunOptions"
+            )
+        return cold_plans.plans_for(
+            segments, self.config.fetch, options.backend
         )
 
     # -- machine assembly ------------------------------------------------------
@@ -1320,8 +1200,8 @@ class ParrotSimulator:
         # ``trace_uops`` rows streams from the trace cache per cycle.
         # Each backend caches its own plan shape on the trace; hot plans
         # are machine-private (traces live in this machine's trace cache),
-        # so the columnar/compiled plans may bake this core's front-end
-        # depth (and, for compiled, the hot profile's widths).
+        # so the compiled plan may bake this core's front-end depth and
+        # the hot profile's widths.
         if backend is ExecutionBackend.COMPILED:
             plan = trace._hot_plan_compiled
             if plan is None:
@@ -1331,19 +1211,6 @@ class ParrotSimulator:
                 )
                 trace._hot_plan_compiled = plan
             run_hot_compiled(
-                core, plan, segment.instructions,
-                hierarchy.load_latency, hierarchy.store_access,
-            )
-        elif backend is ExecutionBackend.COLUMNAR:
-            plan = trace._hot_plan_columnar
-            if plan is None:
-                rows = [compile_uop_row(uop) for uop in uops]
-                plan = compile_hot_columnar(
-                    rows, self.config.fetch.trace_uops,
-                    self.config.core.front_depth,
-                )
-                trace._hot_plan_columnar = plan
-            run_hot_columnar(
                 core, plan, segment.instructions,
                 hierarchy.load_latency, hierarchy.store_access,
             )
@@ -1498,21 +1365,6 @@ class ParrotSimulator:
                 bpred.predict_and_train,
             )
             _fn, _probes, n_uops, n_groups, n_cti = plan
-        elif backend is ExecutionBackend.COLUMNAR:
-            if plan is None:
-                plan = compile_cold_columnar(instructions, self.config.fetch)
-                if complete_segment:
-                    cold_plans[segment.tid] = plan
-            n_misp = run_cold_columnar(
-                core, plan, instructions,
-                hierarchy.fetch_latency,
-                hierarchy.load_latency,
-                hierarchy.store_access,
-                bpred.predict_and_train,
-            )
-            n_groups = len(plan[1])
-            n_uops = plan[0]
-            n_cti = plan[6]
         else:
             if plan is None:
                 plan = self._compile_cold_plan(

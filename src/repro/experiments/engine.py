@@ -17,8 +17,8 @@ The store key is a SHA-256 digest over the full model configuration
 dataclass tree), the application name, its generator seed, the run length,
 :data:`~repro.core.results.SCHEMA_VERSION` and the run regime carried by
 :class:`~repro.core.simulator.RunOptions` (sampling fingerprint, prewarm
-when disabled; the execution backend is excluded — all three backends
-are pinned bit-identical) — any change to a model parameter, a workload
+when disabled; the execution backend is excluded — both backends are
+pinned bit-identical) — any change to a model parameter, a workload
 profile seed or the result schema silently keys to fresh entries, so
 stale records can never be served.
 
@@ -132,7 +132,7 @@ def _env_flag(name: str, default: bool = True) -> bool:
 
 
 def parse_backend(spec: str | None) -> ExecutionBackend:
-    """Parse an execution-backend spec (``scalar``/``columnar``/``compiled``).
+    """Parse an execution-backend spec (``scalar``/``compiled``).
 
     ``None`` or an empty string selects the scalar reference backend.
     """
@@ -183,8 +183,8 @@ class Scale:
     sampled-simulation regime (``None`` = full detail), ``artifacts``
     whether runs ingest compiled trace artifacts instead of re-walking the
     workload generator per cell, and ``backend`` the batch executor
-    evaluating planned segments (scalar reference, or its bit-identical
-    columnar and compiled twins).
+    evaluating planned segments (the scalar reference, or its
+    bit-identical compiled twin).
     """
 
     apps: int | None = DEFAULT_APPS
@@ -209,8 +209,7 @@ class Scale:
         (``off``/``on``/``D:G:W[:F][:CONF]``; see
         :meth:`~repro.sampling.config.SamplingConfig.parse`),
         ``REPRO_BENCH_ARTIFACTS`` (``0`` disables the artifact fast path)
-        and ``REPRO_BENCH_BACKEND``
-        (``scalar``/``columnar``/``compiled``).
+        and ``REPRO_BENCH_BACKEND`` (``scalar``/``compiled``).
         """
         options = resolve_run_options()
         return cls(
@@ -279,8 +278,8 @@ def run_key(
     call shape) or a full :class:`RunOptions`.  Of the run options, only
     the result-affecting regime knobs enter the key: sampling always,
     prewarm when disabled.  The execution *backend* is deliberately
-    excluded — scalar, columnar and compiled are pinned bit-identical by
-    the golden parity suite, so any backend may serve a stored cell.
+    excluded — scalar and compiled are pinned bit-identical by the
+    golden parity suite, so either backend may serve a stored cell.
     """
     prewarm = True
     if isinstance(options, RunOptions):

@@ -17,7 +17,6 @@ shape, and the full 44-application roster is one knob away.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,23 +41,7 @@ __all__ = [
     "ENV_APPS",
     "ENV_LENGTH",
     "ExperimentRunner",
-    "bench_scale",
 ]
-
-
-def bench_scale() -> tuple[int | None, int]:
-    """Deprecated: use :meth:`Scale.from_environment` instead.
-
-    Kept as a shim for callers of the pre-engine API; returns the old
-    ``(max_apps, length)`` pair.
-    """
-    warnings.warn(
-        "bench_scale() is deprecated; use Scale.from_environment()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    scale = Scale.from_environment()
-    return scale.apps, scale.length
 
 
 @dataclass
@@ -71,11 +54,11 @@ class ExperimentRunner:
     every run to sampled simulation (keyed separately in the store);
     ``artifacts=False`` disables the compiled-trace-artifact fast path
     (``artifact_dir`` overrides where artifacts live, default beside the
-    result store); ``backend`` selects the batch executor (scalar
-    reference or its bit-identical columnar twin).  The default
-    construction — serial, no disk store, full detail — behaves exactly
-    like the historical in-process runner apart from the artifact fast
-    path, which is bit-identical by construction.
+    result store); ``backend`` selects the batch executor (the scalar
+    reference by default, or the bit-identical compiled backend).  The
+    default construction — serial, no disk store, full detail — behaves
+    exactly like the historical in-process runner apart from the artifact
+    fast path, which is bit-identical by construction.
     """
 
     length: int = DEFAULT_LENGTH

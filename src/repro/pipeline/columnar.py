@@ -1,564 +1,24 @@
-"""Columnar batch execution backend: planned segments as column arrays.
+"""The execution-backend selector.
 
-The scalar batch executors (:meth:`~repro.pipeline.core.TimingCore.
-run_hot_plan` / :meth:`~repro.pipeline.core.TimingCore.run_cold_plan`)
-replay per-uop *row* tuples — nine fields each, four of which (the source
-and destination register ids) exist only to be re-resolved against the
-register file on every execution.  This module compiles the same plans
-one step further and replays them with a leaner fused loop:
-
-* **column extraction** — functional unit, latency and fetch-group offset
-  become per-uop columns (numpy at compile time for the arithmetic
-  columns), pre-zipped into compact replay tuples so the loop never
-  unpacks unused fields and never rebuilds iteration state per run;
-* **dependency wake-up as precomputed propagation links** — for every uop
-  the compiler resolves which *in-segment* producers (by uop index) and
-  which *carried-in* architectural registers gate its readiness.  The
-  replay loop propagates completion times through those links directly
-  and writes the register file back once per segment (each register's
-  last in-segment writer), instead of guarding and re-resolving register
-  ids per uop;
-* **memory binding hoisted where it is order-free** — a hot trace's
-  cache-hierarchy probes depend only on the recorded dynamic stream, so
-  they hoist out of the timing recurrence into a prologue that preserves
-  the exact scalar call order (L1I/L1D share the L2's LRU state, so
-  order *is* semantics) and patches latency overrides into a copy of the
-  affected rows.  Cold segments interleave icache probes, memory probes
-  and predictor training with timing in scalar order by construction;
-* **event counting as per-plan reductions** — shared with the scalar
-  plans via :func:`~repro.pipeline.core.compile_plan_stats`: one batched
-  charge per executed segment.
-
-The dispatch/issue/commit recurrence itself stays a sequential fused
-loop here: the ROB gate applies ``int(gate) + 1`` *inside* a running max
-and the issue scan consumes shared slot-table state, so the recurrence is
-not associative and cannot be expressed as a prefix-scan over arrays
-without changing results *in general*.  The ``compiled`` backend
-(:mod:`repro.pipeline.specialize`) attacks that residual from two sides:
-per-plan generated straight-line code takes the interpreter overhead out
-of the sequential loop, and a verified max-plus pre-pass vectorizes the
-segments whose constraints provably never bind.  Bit-identity with the
-scalar executors — pinned by the golden parity suite — is the contract
-for every backend; the columnar win comes from moving everything that
-*is* order-free out of the loop.
+The module keeps its historical name because external callers import
+:class:`ExecutionBackend` from ``repro.pipeline.columnar``.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-import numpy as np
-
-from repro.isa.opcodes import FuClass
-from repro.isa.registers import NUM_ARCH_REGS, REG_NONE
-from repro.pipeline.core import (
-    _PRUNE_INTERVAL,
-    TimingCore,
-    compile_plan_stats,
-    compile_uop_row,
-)
-
 
 class ExecutionBackend(Enum):
     """Which batch executor evaluates planned segments.
 
-    ``SCALAR`` is the historical row-replay path (and the reference
-    semantics, itself pinned against :meth:`TimingCore.run_uop`);
-    ``COLUMNAR`` replays column-compiled plans; ``COMPILED`` replays
-    per-plan generated functions with a vectorized max-plus issue
-    pre-pass (:mod:`repro.pipeline.specialize`).  All are bit-identical;
-    the enum exists so callers opt into the faster backends explicitly
-    and regressions stay attributable.
+    ``SCALAR`` is the default and the reference semantics: the row-replay
+    path of :class:`~repro.pipeline.core.TimingCore`, itself pinned
+    against :meth:`~repro.pipeline.core.TimingCore.run_uop` and the golden
+    results.  ``COMPILED`` replays per-plan generated functions
+    (:mod:`repro.pipeline.specialize`); it is bit-identical to ``SCALAR``
+    and pays off once its plans are warm (in memory or on disk).
     """
 
     SCALAR = "scalar"
-    COLUMNAR = "columnar"
     COMPILED = "compiled"
-
-
-def _dependency_links(rows: list) -> tuple[list, list, tuple]:
-    """Resolve per-uop wake-up structure from planned rows.
-
-    Returns ``(producers, carried, last_writers)``:
-
-    * ``producers[k]`` — tuple of earlier uop indices whose completion
-      gates uop ``k`` (one entry per source register last written inside
-      the segment), or ``None`` when empty;
-    * ``carried[k]`` — tuple of register-file indices uop ``k`` reads from
-      the carried-in state (sources with no earlier in-segment writer),
-      or ``None`` when empty;
-    * ``last_writers`` — ``((reg, k), ...)``: each register's last
-      in-segment writer, the only ``reg_ready`` updates that survive the
-      segment.
-
-    Source indices are normalised to the register-file cell the scalar
-    executor actually reads (``reg_ready[s]`` with a negative ``s`` wraps
-    in CPython), so packed extra sources alias bit-identically.
-    """
-    writer: dict[int, int] = {}
-    writer_get = writer.get
-    producers: list[tuple | None] = []
-    carried: list[tuple | None] = []
-    for k, (_fu, _lat, src1, src2, extra, dest, dest2, _mem, _origin) in enumerate(rows):
-        prods: list[int] = []
-        carry: list[int] = []
-        if src1 != REG_NONE:
-            j = writer_get(src1)
-            if j is None:
-                carry.append(src1)
-            else:
-                prods.append(j)
-        if src2 != REG_NONE:
-            j = writer_get(src2)
-            if j is None:
-                carry.append(src2)
-            else:
-                prods.append(j)
-        if extra:
-            for src in extra:
-                cell = src if src >= 0 else src + NUM_ARCH_REGS
-                j = writer_get(cell)
-                if j is None:
-                    carry.append(cell)
-                else:
-                    prods.append(j)
-        producers.append(tuple(prods) if prods else None)
-        carried.append(tuple(carry) if carry else None)
-        if dest != REG_NONE:
-            writer[dest] = k
-        if dest2 != REG_NONE:
-            writer[dest2] = k
-    return producers, carried, tuple(writer.items())
-
-
-def compile_hot_columnar(rows: list, per_cycle: int, front_depth: int) -> tuple:
-    """Compile a hot trace's planned rows into a columnar plan.
-
-    ``per_cycle`` is the trace-cache uop bandwidth (one fetch group per
-    cycle), ``front_depth`` the owning machine's front-end depth — both
-    static per machine, so the offset column bakes the whole
-    ``group_cycle + front_depth`` dispatch base per uop.  Layout::
-
-        (n_uops, cols, mem_entries, last_writers, n_groups,
-         n_reads, n_writes, fu_counts)
-
-    ``cols`` is the pre-zipped replay column: one ``(offset, fu, latency,
-    producers, carried)`` tuple per uop.  ``mem_entries`` is ``((k,
-    mem_code, origin), ...)`` in uop order — the hierarchy-order-
-    preserving prologue.
-    """
-    n = len(rows)
-    # Column extraction: the dispatch base of uop k relative to the
-    # trace's fetch-entry cycle is (k // per_cycle) + 1 + front_depth.
-    offsets = (np.arange(n, dtype=np.int64) // per_cycle
-               + (1 + front_depth)).tolist()
-    producers, carried, last_writers = _dependency_links(rows)
-    cols = tuple(zip(
-        offsets,
-        [row[0] for row in rows],
-        [row[1] for row in rows],
-        producers,
-        carried,
-    ))
-    mem_entries = tuple(
-        (k, row[7], row[8]) for k, row in enumerate(rows) if row[7]
-    )
-    n_uops, n_reads, n_writes, fu_counts = compile_plan_stats(rows)
-    n_groups = -(-n // per_cycle) if n else 0
-    return (
-        n_uops, cols, mem_entries, last_writers, n_groups,
-        n_reads, n_writes, fu_counts,
-    )
-
-
-def compile_cold_columnar(instructions: list, params) -> tuple:
-    """Compile a cold segment into a columnar plan.
-
-    Mirrors :meth:`ParrotSimulator._compile_cold_plan` but with condensed
-    replay rows: register ids are compiled away into dependency links
-    (:func:`_dependency_links` over the concatenated uops), so a replay
-    row is ``(fu, latency, producers, carried, mem_code)``.  Unlike hot
-    plans, nothing machine-specific beyond the fetch parameters is baked
-    in, so cold columnar plans keep the scalar sharing contract:
-    shareable across models with equal
-    :class:`~repro.frontend.fetch.FetchParams` over one segment list.
-    Layout::
-
-        (n_uops, groups, last_writers, n_reads, n_writes, fu_counts,
-         n_cti)
-
-    ``groups`` is ``((start_address, entries), ...)``; each entry is
-    ``(instr_index, is_cti, rows)``.
-    """
-    from repro.frontend.fetch import plan_cold_groups
-
-    all_rows: list = []
-    raw_groups: list = []
-    n_cti = 0
-    for start_idx, end_idx, start_address in plan_cold_groups(
-        instructions, params
-    ):
-        entries = []
-        for idx in range(start_idx, end_idx):
-            instr = instructions[idx].instr
-            rows = tuple(compile_uop_row(uop) for uop in instr.uops)
-            all_rows.extend(rows)
-            is_cti = instr.is_cti
-            if is_cti:
-                n_cti += 1
-            entries.append((idx, is_cti, rows))
-        raw_groups.append((start_address, entries))
-    producers, carried, last_writers = _dependency_links(all_rows)
-    # Re-thread the flat links back through the per-instruction rows,
-    # condensing each nine-field row to its replay columns.
-    k = 0
-    groups = []
-    for start_address, entries in raw_groups:
-        condensed = []
-        for idx, is_cti, rows in entries:
-            replay = []
-            for row in rows:
-                replay.append(
-                    (row[0], row[1], producers[k], carried[k], row[7])
-                )
-                k += 1
-            condensed.append((idx, is_cti, tuple(replay)))
-        groups.append((start_address, tuple(condensed)))
-    n_uops, n_reads, n_writes, fu_counts = compile_plan_stats(all_rows)
-    return (
-        n_uops, tuple(groups), last_writers,
-        n_reads, n_writes, fu_counts, n_cti,
-    )
-
-
-def run_hot_columnar(
-    core: TimingCore,
-    plan: tuple,
-    instructions: list,
-    load_latency,
-    store_access,
-) -> None:
-    """Columnar twin of :meth:`TimingCore.run_hot_plan`.
-
-    The prologue binds memory uops to the dynamic execution (exact scalar
-    probe order), patching load-latency overrides into a shallow copy of
-    the replay columns; the fused loop then replays the
-    dispatch/issue/commit recurrence, propagating wake-up through the
-    precompiled links; the epilogue writes rings, register file and the
-    plan's static event totals back in one step.  Timing is in lockstep
-    with the scalar executor — the parity suite pins their agreement.
-    """
-    (n, cols, mem_entries, last_writers, n_groups,
-     n_reads, n_writes, plan_fu_counts) = plan
-
-    # ---- prologue: memory binding, in recorded uop order.  Overrides
-    # (L1 load misses) are rare with a prewarmed hierarchy, so the
-    # columns are only copied when one actually lands.
-    patched = None
-    for k, code, origin in mem_entries:
-        dyn = instructions[origin]
-        addr = dyn.mem_addr
-        if addr is None:
-            addr = dyn.instr.address
-        if code == 1:
-            mem_latency = load_latency(addr)
-            if mem_latency:
-                if patched is None:
-                    patched = list(cols)
-                offset, fu, _latency, prods, carry = patched[k]
-                patched[k] = (offset, fu, mem_latency, prods, carry)
-        else:
-            store_access(addr)
-    if patched is not None:
-        cols = patched
-
-    # ---- hoist all per-uop state to locals (see run_hot_plan).
-    fetch0 = core.fetch_cycle
-    rename_width = core._rename_width
-    issue_width = core._issue_width
-    commit_step = core._commit_step
-    rob_size = core._rob_size
-    win_size = core._win_size
-    last_dispatch = core._last_dispatch
-    disp_cycle = core._disp_cycle
-    disp_used = core._disp_used
-    rob_ring = core._rob_ring
-    rob_idx = core._rob_idx
-    win_ring = core._win_ring
-    win_idx = core._win_idx
-    commit_time = core._commit_time
-    reg_ready = core.reg_ready
-    issue_slots = core._issue_slots
-    issue_get = issue_slots.get
-    fu_lookup = core._fu_lookup
-    none_fu = FuClass.NONE
-    completes: list = []
-    completes_append = completes.append
-
-    for offset, fu, latency, prods, carry in cols:
-        # ---- dispatch (mirrors run_uop; the group clock is the column).
-        dispatch = fetch0 + offset
-        if last_dispatch > dispatch:
-            dispatch = last_dispatch
-        rob_gate = rob_ring[rob_idx]
-        if rob_gate > dispatch:
-            dispatch = int(rob_gate) + 1
-        win_gate = win_ring[win_idx]
-        if win_gate > dispatch:
-            dispatch = win_gate
-        if dispatch > disp_cycle:
-            disp_cycle = dispatch
-            disp_used = 0
-        else:
-            dispatch = disp_cycle
-        if disp_used >= rename_width:
-            disp_cycle += 1
-            disp_used = 0
-            dispatch = disp_cycle
-        disp_used += 1
-        last_dispatch = dispatch
-
-        # ---- operand readiness via precompiled wake-up links.
-        ready = dispatch + 1
-        if prods is not None:
-            for j in prods:
-                r = completes[j]
-                if r > ready:
-                    ready = r
-        if carry is not None:
-            for reg in carry:
-                r = reg_ready[reg]
-                if r > ready:
-                    ready = r
-
-        # ---- issue (mirrors _find_issue_slot; ``ready`` is an int by
-        # construction, see run_hot_plan).
-        cycle = ready
-        if fu is none_fu:
-            while True:
-                used = issue_get(cycle, 0)
-                if used < issue_width:
-                    break
-                cycle += 1
-            issue_slots[cycle] = used + 1
-        else:
-            fu_slots, fu_get, fu_width = fu_lookup[fu]
-            while True:
-                used = issue_get(cycle, 0)
-                if used < issue_width:
-                    fu_used = fu_get(cycle, 0)
-                    if fu_used < fu_width:
-                        break
-                cycle += 1
-            issue_slots[cycle] = used + 1
-            fu_slots[cycle] = fu_used + 1
-
-        # ---- execute: completion feeds the links, not the regfile.
-        complete = cycle + latency
-        completes_append(complete)
-
-        # ---- commit.
-        commit = commit_time + commit_step
-        if complete + 1 > commit:
-            commit = complete + 1.0
-        commit_time = commit
-        rob_ring[rob_idx] = commit
-        rob_idx += 1
-        if rob_idx == rob_size:
-            rob_idx = 0
-        win_ring[win_idx] = cycle
-        win_idx += 1
-        if win_idx == win_size:
-            win_idx = 0
-
-    # ---- epilogue: regfile (each register's last writer), core state,
-    # and the plan's static event totals.
-    for reg, j in last_writers:
-        reg_ready[reg] = completes[j]
-    core.fetch_cycle = fetch0 + n_groups
-    core._last_dispatch = last_dispatch
-    core._disp_cycle = disp_cycle
-    core._disp_used = disp_used
-    core._rob_idx = rob_idx
-    core._win_idx = win_idx
-    core._commit_time = commit_time
-    core._n_src_reads += n_reads
-    core._n_dest_writes += n_writes
-    n_exec = core._n_exec
-    for fu, count in plan_fu_counts:
-        n_exec[fu] += count
-    core.uops_executed += n
-    core._since_prune += n
-    if core._since_prune >= _PRUNE_INTERVAL:
-        core._prune_slots()
-
-
-def run_cold_columnar(
-    core: TimingCore,
-    plan: tuple,
-    instructions: list,
-    fetch_latency,
-    load_latency,
-    store_access,
-    predict_and_train,
-) -> int:
-    """Columnar twin of :meth:`TimingCore.run_cold_plan`.
-
-    One fused pass, like the scalar executor — icache probes, memory
-    probes, predictor training and mispredict redirects interleave with
-    timing in the exact scalar order by construction.  The columnar
-    advantage is the condensed replay rows: readiness flows through
-    precompiled dependency links and the register file is written back
-    once per segment, so the loop never touches register ids.  Returns
-    the mispredict count.
-    """
-    (n, groups, last_writers, n_reads, n_writes, plan_fu_counts,
-     _n_cti) = plan
-
-    fetch_cycle = core.fetch_cycle
-    front_depth = core._front_depth
-    rename_width = core._rename_width
-    issue_width = core._issue_width
-    commit_step = core._commit_step
-    rob_size = core._rob_size
-    win_size = core._win_size
-    last_dispatch = core._last_dispatch
-    disp_cycle = core._disp_cycle
-    disp_used = core._disp_used
-    rob_ring = core._rob_ring
-    rob_idx = core._rob_idx
-    win_ring = core._win_ring
-    win_idx = core._win_idx
-    commit_time = core._commit_time
-    reg_ready = core.reg_ready
-    issue_slots = core._issue_slots
-    issue_get = issue_slots.get
-    fu_lookup = core._fu_lookup
-    none_fu = FuClass.NONE
-    n_misp = 0
-    completes: list = []
-    completes_append = completes.append
-
-    for start_address, entries in groups:
-        fetch_cycle += 1 + fetch_latency(start_address)
-        group_cycle = fetch_cycle
-        for idx, is_cti, rows in entries:
-            dyn = instructions[idx]
-            complete = 0.0
-            for fu, latency, prods, carry, mem_code in rows:
-                if mem_code:
-                    addr = dyn.mem_addr
-                    if addr is None:
-                        addr = dyn.instr.address
-                    if mem_code == 1:
-                        mem_latency = load_latency(addr)
-                        if mem_latency:
-                            latency = mem_latency
-                    else:
-                        store_access(addr)
-
-                # ---- dispatch (mirrors run_uop).
-                dispatch = group_cycle + front_depth
-                if last_dispatch > dispatch:
-                    dispatch = last_dispatch
-                rob_gate = rob_ring[rob_idx]
-                if rob_gate > dispatch:
-                    dispatch = int(rob_gate) + 1
-                win_gate = win_ring[win_idx]
-                if win_gate > dispatch:
-                    dispatch = win_gate
-                if dispatch > disp_cycle:
-                    disp_cycle = dispatch
-                    disp_used = 0
-                else:
-                    dispatch = disp_cycle
-                if disp_used >= rename_width:
-                    disp_cycle += 1
-                    disp_used = 0
-                    dispatch = disp_cycle
-                disp_used += 1
-                last_dispatch = dispatch
-
-                # ---- operand readiness via precompiled links.
-                ready = dispatch + 1
-                if prods is not None:
-                    for j in prods:
-                        r = completes[j]
-                        if r > ready:
-                            ready = r
-                if carry is not None:
-                    for reg in carry:
-                        r = reg_ready[reg]
-                        if r > ready:
-                            ready = r
-
-                # ---- issue.
-                cycle = ready
-                if fu is none_fu:
-                    while True:
-                        used = issue_get(cycle, 0)
-                        if used < issue_width:
-                            break
-                        cycle += 1
-                    issue_slots[cycle] = used + 1
-                else:
-                    fu_slots, fu_get, fu_width = fu_lookup[fu]
-                    while True:
-                        used = issue_get(cycle, 0)
-                        if used < issue_width:
-                            fu_used = fu_get(cycle, 0)
-                            if fu_used < fu_width:
-                                break
-                        cycle += 1
-                    issue_slots[cycle] = used + 1
-                    fu_slots[cycle] = fu_used + 1
-
-                # ---- execute.
-                complete = cycle + latency
-                completes_append(complete)
-
-                # ---- commit.
-                commit = commit_time + commit_step
-                if complete + 1 > commit:
-                    commit = complete + 1.0
-                commit_time = commit
-                rob_ring[rob_idx] = commit
-                rob_idx += 1
-                if rob_idx == rob_size:
-                    rob_idx = 0
-                win_ring[win_idx] = cycle
-                win_idx += 1
-                if win_idx == win_size:
-                    win_idx = 0
-
-            if is_cti:
-                if predict_and_train(dyn.instr, dyn.taken, dyn.next_address):
-                    n_misp += 1
-                    # Redirect past the resolving uop, then refetch the
-                    # fall-through the front end did not pursue.
-                    resolved = int(complete + 1)
-                    if resolved > fetch_cycle:
-                        fetch_cycle = resolved
-                    fetch_cycle += 1
-                    group_cycle = fetch_cycle
-
-    # ---- epilogue.
-    for reg, j in last_writers:
-        reg_ready[reg] = completes[j]
-    core.fetch_cycle = fetch_cycle
-    core._last_dispatch = last_dispatch
-    core._disp_cycle = disp_cycle
-    core._disp_used = disp_used
-    core._rob_idx = rob_idx
-    core._win_idx = win_idx
-    core._commit_time = commit_time
-    core._n_src_reads += n_reads
-    core._n_dest_writes += n_writes
-    n_exec = core._n_exec
-    for fu, count in plan_fu_counts:
-        n_exec[fu] += count
-    core.uops_executed += n
-    core._since_prune += n
-    if core._since_prune >= _PRUNE_INTERVAL:
-        core._prune_slots()
-    return n_misp

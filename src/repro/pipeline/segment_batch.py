@@ -33,7 +33,7 @@ amortizes it:
   order: residents are re-ranked by their *last* journaled access.
 
 The simulator's segment loop (``_execute_segments``) drives this layer
-identically for the scalar, columnar and compiled backends, and folds
+identically for the scalar and compiled backends, and folds
 the remaining per-segment event traffic (trace-cache frame reads,
 filter accesses, cold fetch/decode/predictor totals) into plan-level
 reductions whose static parts come from the compiled plans themselves.

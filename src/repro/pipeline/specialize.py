@@ -1,13 +1,18 @@
-"""Plan-specialized replay: per-plan generated code + max-plus pre-pass.
+"""Plan-specialized replay: the ``compiled`` execution backend.
 
-The columnar backend (:mod:`repro.pipeline.columnar`) hoisted everything
-order-free out of the replay loop but left the dispatch/issue/commit
-recurrence as a *generic* sequential CPython loop: per uop it unpacks a
-replay tuple, chases producer/carried link tuples, resolves the FU issue
-triple from a dict and branches on properties that are static per plan.
-This module compiles each plan one step further, into a dedicated Python
-function:
+The scalar batch executors (:meth:`~repro.pipeline.core.TimingCore.
+run_hot_plan` / :meth:`~repro.pipeline.core.TimingCore.run_cold_plan`)
+replay the dispatch/issue/commit recurrence as a *generic* sequential
+CPython loop: per uop they unpack a nine-field row, re-resolve register
+ids against the register file, look up the FU issue triple and branch on
+properties that are static per plan.  This module compiles each plan
+into a dedicated Python function instead:
 
+* **dependency wake-up as precomputed links** — for every uop the
+  compiler resolves which *in-segment* producers (by uop index) and which
+  *carried-in* architectural registers gate its readiness
+  (:func:`_dependency_links`), so the register file is written back once
+  per segment (each register's last in-segment writer);
 * **straight-line specialization** — one generated code block per uop,
   with the dispatch base, latency, ring sizes, widths and the commit
   step baked in as literals (hot plans are machine-private), producer
@@ -23,40 +28,11 @@ function:
   the interpreter's bytecode magic; corrupt or stale entries are
   quarantined).  Cold generated sources bake nothing machine-specific
   beyond the fetch parameters, so cold compiled plans keep the
-  cross-model sharing contract of :class:`ColdPlanCache`;
-* **max-plus issue pre-pass** — for eligible hot plans the compile-time
-  contention analysis emits the fetch-relative dispatch bases, per-level
-  dependency edges and per-FU-class index columns.  At run time the
-  gate-free dispatch pattern is solved first: the rename-width-W greedy
-  recurrence ``D[k] = max(A[k], D[k-W] + 1)`` decomposes into W
-  independent residue classes, each a ``maximum.accumulate`` over one
-  column of the reshaped availability array (carry-in occupancy of the
-  entry cycle is modelled as virtual prefix uops), so a dirty dispatch
-  backlog — the steady state of back-to-back hot replays — is handled
-  exactly, not bailed on.  Then the unconstrained fixed point ``issue =
-  ready = max(dispatch+1, producers, carried)`` is solved as a
-  vectorized max-plus scan over the dependency columns, and everything
-  is *verified*: ROB/window gates at or below the pre-gate dispatch
-  values ``P[k] = max(A[k], D[k-1])`` (the exact quantity the scalar
-  recurrence compares gates against), and per-cycle issue/FU demand
-  (ours plus pre-booked slots) within the widths.  When the check
-  passes, the greedy sequential recurrence provably produces exactly
-  these values — each gate comparison resolves the same way and every
-  issue scan stops at ``ready`` because the per-cycle prefix counts
-  never reach the width — so the state is written back wholesale.
-  Genuinely contended (or gate-blocked) segments fall back to the
-  specialized sequential function; a plan whose scan keeps failing
-  verification stops attempting it (``MAXPLUS_FAIL_LIMIT`` consecutive
-  misses) so structurally contended traces pay no numpy overhead.
+  cross-model sharing contract of :class:`ColdPlanCache`.
 
-Bit-identity notes: all gates and latencies are ints; only ROB commit
-times are floats.  The vectorized commit scan ``commit_k =
-max_j<=k(c_j + (k-j)*s)`` is evaluated as ``maximum.accumulate(c - k*s)
-+ k*s`` and is exact only when the commit step ``s`` is a power-of-two
-reciprocal (every value is then a multiple of ``s`` well below the
-float53 granularity), so eligibility statically requires a power-of-two
-commit width and dynamically a ``commit_time`` on the same grid.  The
-scalar parity suite pins the whole backend bit-identical.
+The generated code performs the scalar recurrence operation for
+operation, so results are bit-identical to the scalar backend — pinned
+by the parity suite.
 """
 
 from __future__ import annotations
@@ -71,15 +47,13 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from repro.isa.opcodes import FuClass
+from repro.isa.registers import NUM_ARCH_REGS, REG_NONE
 from repro.pipeline.core import (
     _PRUNE_INTERVAL,
     compile_plan_stats,
     compile_uop_row,
 )
-from repro.pipeline.columnar import _dependency_links
 from repro.pipeline.resources import ExecProfile
 
 # SCHEMA_VERSION lives in repro.core.results; imported lazily where used
@@ -115,7 +89,7 @@ _PLAN_MEMO_LIMIT = 512
 
 #: Whole-plan memo for hot traces, keyed by (rows, fetch grouping, core
 #: geometry).  Traces are rebuilt per run, but their planned rows — and
-#: therefore the generated source, probe plan and max-plus columns — are
+#: therefore the generated source and probe plan — are
 #: pure functions of this key, so repeat runs skip codegen outright
 #: (string assembly costs real time for a 2000-line source even when the
 #: compile step hits the source LRU).
@@ -339,6 +313,61 @@ def load_replay(source: str):
 # --------------------------------------------------------------------------
 # Code generation.
 # --------------------------------------------------------------------------
+
+def _dependency_links(rows: list) -> tuple[list, list, tuple]:
+    """Resolve per-uop wake-up structure from planned rows.
+
+    Returns ``(producers, carried, last_writers)``:
+
+    * ``producers[k]`` — tuple of earlier uop indices whose completion
+      gates uop ``k`` (one entry per source register last written inside
+      the segment), or ``None`` when empty;
+    * ``carried[k]`` — tuple of register-file indices uop ``k`` reads from
+      the carried-in state (sources with no earlier in-segment writer),
+      or ``None`` when empty;
+    * ``last_writers`` — ``((reg, k), ...)``: each register's last
+      in-segment writer, the only ``reg_ready`` updates that survive the
+      segment.
+
+    Source indices are normalised to the register-file cell the scalar
+    executor actually reads (``reg_ready[s]`` with a negative ``s`` wraps
+    in CPython), so packed extra sources alias bit-identically.
+    """
+    writer: dict[int, int] = {}
+    writer_get = writer.get
+    producers: list[tuple | None] = []
+    carried: list[tuple | None] = []
+    for k, (_fu, _lat, src1, src2, extra, dest, dest2, _mem, _origin) in enumerate(rows):
+        prods: list[int] = []
+        carry: list[int] = []
+        if src1 != REG_NONE:
+            j = writer_get(src1)
+            if j is None:
+                carry.append(src1)
+            else:
+                prods.append(j)
+        if src2 != REG_NONE:
+            j = writer_get(src2)
+            if j is None:
+                carry.append(src2)
+            else:
+                prods.append(j)
+        if extra:
+            for src in extra:
+                cell = src if src >= 0 else src + NUM_ARCH_REGS
+                j = writer_get(cell)
+                if j is None:
+                    carry.append(cell)
+                else:
+                    prods.append(j)
+        producers.append(tuple(prods) if prods else None)
+        carried.append(tuple(carry) if carry else None)
+        if dest != REG_NONE:
+            writer[dest] = k
+        if dest2 != REG_NONE:
+            writer[dest2] = k
+    return producers, carried, tuple(writer.items())
+
 
 def _fu_name(fu: FuClass) -> str:
     return f"fu{int(fu)}"
@@ -683,380 +712,6 @@ def _cold_source(groups: list, producers, carried, last_writers,
 
 
 # --------------------------------------------------------------------------
-# Max-plus issue pre-pass (hot plans).
-# --------------------------------------------------------------------------
-
-#: Profitability floor, re-measured on the warmed artifact stack (swim,
-#: TON, 100k, compiled backend): forcing the floor to 32 so the scan
-#: engages on production 64-uop hot frames regresses the full-detail run
-#: 73.6ms -> 244.0ms (3.3x) — the scan's fixed numpy overhead (~30
-#: small-array kernel launches) swamps frames this small, while results
-#: stay bit-identical.  The gate is *per plan kind by construction*:
-#: only hot plans build a scan at all (:func:`compile_hot_specialized`);
-#: cold plans never can, because their branch predictions feed back into
-#: the same segment's fetch redirects, which the pure-dataflow scan does
-#: not model.  Hot frames are capped at ``TRACE_CAPACITY_UOPS`` (64), so
-#: the floor deliberately stays above the cap: the pre-pass is exercised
-#: through the property suite (which passes ``min_uops`` explicitly) and
-#: engages automatically the day frames outgrow the crossover.
-MAXPLUS_MIN_UOPS = 96
-
-#: Dependency-chain depth bound: past this the level-by-level relaxation
-#: degenerates toward one numpy call per uop.
-MAXPLUS_MAX_DEPTH = 12
-
-
-#: Consecutive verification misses after which a plan's scan is benched:
-#: a structurally contended trace (steady-state demand at the widths)
-#: fails every attempt, and the attempt itself is pure overhead.
-MAXPLUS_FAIL_LIMIT = 16
-
-
-class MaxPlusScan:
-    """Static columns of one hot plan's compile-time contention analysis.
-
-    ``offsets`` holds the fetch-relative dispatch bases (``k //
-    per_cycle + 1 + front_depth``); the actual dispatch pattern —
-    including the rename-width drain and any carried-in backlog — is
-    solved at run time by the residue-class ``maximum.accumulate`` form
-    of ``D[k] = max(A[k], D[k - W] + 1)``, so the scan stays applicable
-    when hot replays run back to back.  ``fails`` counts consecutive
-    runtime verification misses (reset on success); past
-    ``MAXPLUS_FAIL_LIMIT`` the wrapper stops attempting the scan.
-    """
-
-    __slots__ = (
-        "n", "offsets", "rename_width", "lat", "load_rows", "levels",
-        "carried_rows", "carried_regs", "fu_groups", "issue_width",
-        "rob_size", "win_size", "commit_step", "ks", "last_writers",
-        "n_groups", "n_reads", "n_writes", "fu_counts", "fails",
-    )
-
-
-def build_maxplus_scan(rows: list, per_cycle: int, front_depth: int,
-                       profile: ExecProfile, rob_size: int, win_size: int,
-                       *, min_uops: int | None = None,
-                       max_depth: int | None = None) -> MaxPlusScan | None:
-    """Compile-time contention analysis; None when the plan is ineligible.
-
-    Eligibility is static: enough uops to beat numpy overhead, a bounded
-    dependency depth, and a power-of-two commit width (the vectorized
-    commit scan is bit-exact only on a power-of-two grid — see the
-    module docstring).  Everything dynamic (entry state, gate levels,
-    pre-booked slots, actual per-cycle demand) is verified at run time
-    by :func:`run_maxplus`, which falls back when contended.
-    """
-    n = len(rows)
-    if min_uops is None:
-        min_uops = MAXPLUS_MIN_UOPS
-    if max_depth is None:
-        max_depth = MAXPLUS_MAX_DEPTH
-    if n < min_uops or n == 0 or n > rob_size:
-        return None
-    commit_width = profile.commit_width
-    if commit_width & (commit_width - 1):
-        return None
-
-    producers, carried, last_writers = _dependency_links(rows)
-
-    # Dependency levels: level[k] = longest producer chain ending at k.
-    level = [0] * n
-    depth = 0
-    for k, prods in enumerate(producers):
-        if prods:
-            lvl = 1 + max(level[j] for j in prods)
-            level[k] = lvl
-            if lvl > depth:
-                depth = lvl
-    if depth > max_depth:
-        return None
-
-    # Fetch-relative dispatch bases; the width-constrained pattern is
-    # solved at run time so a carried-in backlog stays in scope.
-    offsets = [k // per_cycle + 1 + front_depth for k in range(n)]
-
-    # Per-level dependency edges (src already final when dst relaxes).
-    edges: dict[int, tuple[list, list]] = {}
-    for k, prods in enumerate(producers):
-        if prods:
-            src, dst = edges.setdefault(level[k], ([], []))
-            for j in prods:
-                src.append(j)
-                dst.append(k)
-    levels = tuple(
-        (np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64))
-        for _lvl, (src, dst) in sorted(edges.items())
-    )
-
-    carried_rows: list[int] = []
-    carried_regs: list[int] = []
-    for k, carry in enumerate(carried):
-        if carry:
-            for reg in carry:
-                carried_rows.append(k)
-                carried_regs.append(reg)
-
-    fu_rows: dict[FuClass, list[int]] = {}
-    for k, row in enumerate(rows):
-        if row[0] is not FuClass.NONE:
-            fu_rows.setdefault(row[0], []).append(k)
-    fu_widths = profile.fu_counts
-    fu_groups = tuple(
-        (fu, np.array(ks, dtype=np.int64), fu_widths.get(fu, 1))
-        for fu, ks in fu_rows.items()
-    )
-
-    load_ks = [k for k, row in enumerate(rows) if row[7] == 1]
-    _n_uops, n_reads, n_writes, fu_counts = compile_plan_stats(rows)
-
-    scan = MaxPlusScan()
-    scan.n = n
-    scan.offsets = np.array(offsets, dtype=np.int64)
-    scan.rename_width = profile.rename_width
-    scan.fails = 0
-    scan.lat = np.array([row[1] for row in rows], dtype=np.int64)
-    scan.load_rows = (np.array(load_ks, dtype=np.int64)
-                      if load_ks else None)
-    scan.levels = levels
-    scan.carried_rows = (np.array(carried_rows, dtype=np.int64)
-                         if carried_rows else None)
-    scan.carried_regs = carried_regs
-    scan.fu_groups = fu_groups
-    scan.issue_width = profile.issue_width
-    scan.rob_size = rob_size
-    scan.win_size = win_size
-    scan.commit_step = 1.0 / commit_width
-    scan.ks = np.arange(n, dtype=np.float64) * scan.commit_step
-    scan.last_writers = last_writers
-    scan.n_groups = -(-n // per_cycle)
-    scan.n_reads = n_reads
-    scan.n_writes = n_writes
-    scan.fu_counts = fu_counts
-    return scan
-
-
-def run_maxplus(core, scan: MaxPlusScan, mem_lats: list) -> bool:
-    """Vectorized pre-pass: solve, verify, write back — or bail.
-
-    Returns True when the unconstrained max-plus solution was verified
-    feasible and the core state was advanced; False (state untouched)
-    when any constraint could bind, in which case the caller must run
-    the specialized sequential function instead.
-    """
-    fetch0 = core.fetch_cycle
-    n = scan.n
-    disp_cycle_in = core._disp_cycle
-    if core._last_dispatch != disp_cycle_in:
-        # Every executor leaves last_dispatch == disp_cycle; anything
-        # else is an entry state the closed form does not model.
-        return False
-    width = scan.rename_width
-    u = core._disp_used
-    if u < 0 or u > width:
-        return False
-    commit_time = core._commit_time
-    step = scan.commit_step
-    if not (commit_time / step).is_integer():
-        return False
-
-    # ---- dispatch solve.  Availability per uop is the fetch-group base
-    # clamped to the entry cycle, with the carried-in *window* gates
-    # folded in directly: the scalar recurrence applies them as
-    # ``dispatch = max(dispatch, win_gate)`` — pure max semantics — so
-    # the ring entries for k < win_size (always carried-in state) are
-    # part of the availability, not a verification.  A running max
-    # restores monotonicity (issue cycles in the ring are out of order;
-    # in-order dispatch propagates them forward), then the
-    # rename-width-W greedy recurrence D[k] = max(A[k], D[k - W] + 1)
-    # (carry-in occupancy modelled as u virtual uops at the entry cycle)
-    # decomposes into W independent maximum.accumulate scans — one per
-    # residue class, i.e. per column of the (cycles x W) reshape.
-    raw = scan.offsets + fetch0
-    np.maximum(raw, disp_cycle_in, out=raw)
-
-    win_ring = core._win_ring
-    win_idx = core._win_idx
-    win_size = scan.win_size
-    w = n if n <= win_size else win_size
-    end = win_idx + w
-    if end <= win_size:
-        win_vals = win_ring[win_idx:end]
-    else:
-        win_vals = win_ring[win_idx:] + win_ring[:end - win_size]
-
-    avail = raw.copy()
-    np.maximum(avail[:w], np.asarray(win_vals), out=avail[:w])
-    np.maximum.accumulate(avail, out=avail)
-
-    total = u + n
-    n_rows = -(-total // width)
-    ext = np.empty(n_rows * width, dtype=np.int64)
-    ext[:u] = disp_cycle_in
-    ext[u:total] = avail
-    ext[total:] = avail[-1]
-    mat = ext.reshape(n_rows, width)
-    row_idx = np.arange(n_rows, dtype=np.int64)[:, None]
-    mat -= row_idx
-    np.maximum.accumulate(mat, axis=0, out=mat)
-    mat += row_idx
-    disp = ext[u:total]
-
-    # Pre-gate dispatch values: P[k] = max(A[k], D[k-1]) is what the
-    # scalar recurrence holds when it compares the ROB gate (the window
-    # gate and the width-queueing bump come after), so the remaining
-    # verify-only gates must stay at or below P for the solution to be
-    # exact.
-    pre_gate = raw
-    np.maximum(pre_gate[1:], disp[:-1], out=pre_gate[1:])
-
-    # ROB gates: traces are shorter than the ROB, so every gate read
-    # sees carried-in ring state.  These bump to ``int(gate) + 1`` when
-    # they bind — not a max — so they stay verify-only.
-    rob_ring = core._rob_ring
-    rob_idx = core._rob_idx
-    rob_size = scan.rob_size
-    end = rob_idx + n
-    if end <= rob_size:
-        ring_vals = rob_ring[rob_idx:end]
-    else:
-        ring_vals = rob_ring[rob_idx:] + rob_ring[:end - rob_size]
-    if (np.asarray(ring_vals) > pre_gate).any():
-        return False
-
-    # ---- unconstrained solve: issue = ready = max(dispatch + 1,
-    # producers' completes, carried reads), relaxed level by level.
-    if mem_lats:
-        lat = scan.lat.copy()
-        lat[scan.load_rows] = mem_lats
-    else:
-        lat = scan.lat
-    ready = disp + 1
-    reg_ready = core.reg_ready
-    if scan.carried_rows is not None:
-        vals = np.array([reg_ready[r] for r in scan.carried_regs],
-                        dtype=np.int64)
-        np.maximum.at(ready, scan.carried_rows, vals)
-    for src, dst in scan.levels:
-        np.maximum.at(ready, dst, ready[src] + lat[src])
-    issue = ready
-
-    if n > win_size and (issue[:n - win_size] > pre_gate[win_size:]).any():
-        return False
-
-    # ---- contention verification: per-cycle demand (ours + pre-booked)
-    # within the widths.  The prefix-count argument makes this exact:
-    # when the total at a cycle fits, every intermediate greedy booking
-    # saw used < width, so each sequential scan stops at ready.
-    issue_width = scan.issue_width
-    cyc, cnt = np.unique(issue, return_counts=True)
-    cyc_list = cyc.tolist()
-    cnt_list = cnt.tolist()
-    issue_slots = core._issue_slots
-    if issue_slots:
-        issue_get = issue_slots.get
-        pre = [issue_get(c, 0) for c in cyc_list]
-        for p, m in zip(pre, cnt_list):
-            if p + m > issue_width:
-                return False
-    else:
-        pre = None
-        if max(cnt_list) > issue_width:
-            return False
-    fu_lookup = core._fu_lookup
-    fu_updates = []
-    for fu, fu_ks, width in scan.fu_groups:
-        fcyc, fcnt = np.unique(issue[fu_ks], return_counts=True)
-        fcyc_list = fcyc.tolist()
-        fcnt_list = fcnt.tolist()
-        fu_slots, fu_get, _width = fu_lookup[fu]
-        if fu_slots:
-            fpre = [fu_get(c, 0) for c in fcyc_list]
-            for p, m in zip(fpre, fcnt_list):
-                if p + m > width:
-                    return False
-        else:
-            fpre = None
-            if max(fcnt_list) > width:
-                return False
-        fu_updates.append((fu_slots, fcyc_list, fcnt_list, fpre))
-
-    # ---- feasible: the greedy recurrence reproduces exactly these
-    # values.  Vectorized commit scan (exact on the power-of-two grid),
-    # then wholesale state write-back.
-    completes = issue + lat
-    ks = scan.ks
-    adj = (completes + 1.0) - ks
-    seed = commit_time + step
-    if seed > adj[0]:
-        adj[0] = seed
-    np.maximum.accumulate(adj, out=adj)
-    commit_list = (adj + ks).tolist()
-    completes_list = completes.tolist()
-    issue_list = issue.tolist()
-
-    if pre is None:
-        for c, m in zip(cyc_list, cnt_list):
-            issue_slots[c] = m
-    else:
-        for c, m, p in zip(cyc_list, cnt_list, pre):
-            issue_slots[c] = p + m
-    for fu_slots, fcyc_list, fcnt_list, fpre in fu_updates:
-        if fpre is None:
-            for c, m in zip(fcyc_list, fcnt_list):
-                fu_slots[c] = m
-        else:
-            for c, m, p in zip(fcyc_list, fcnt_list, fpre):
-                fu_slots[c] = p + m
-
-    end = rob_idx + n
-    if end <= rob_size:
-        rob_ring[rob_idx:end] = commit_list
-    else:
-        split = rob_size - rob_idx
-        rob_ring[rob_idx:] = commit_list[:split]
-        rob_ring[:end - rob_size] = commit_list[split:]
-    core._rob_idx = end % rob_size
-
-    if n >= win_size:
-        tail = issue_list[n - win_size:]
-        start = (win_idx + n - win_size) % win_size
-        split = win_size - start
-        win_ring[start:] = tail[:split]
-        win_ring[:start] = tail[split:]
-    else:
-        end = win_idx + n
-        if end <= win_size:
-            win_ring[win_idx:end] = issue_list
-        else:
-            split = win_size - win_idx
-            win_ring[win_idx:] = issue_list[:split]
-            win_ring[:end - win_size] = issue_list[split:]
-    core._win_idx = (win_idx + n) % win_size
-
-    for reg, j in scan.last_writers:
-        reg_ready[reg] = completes_list[j]
-    core.fetch_cycle = fetch0 + scan.n_groups
-    d_last = int(disp[-1])
-    used = int(np.count_nonzero(disp == d_last))
-    if disp_cycle_in == d_last:
-        used += u
-    core._last_dispatch = d_last
-    core._disp_cycle = d_last
-    core._disp_used = used
-    core._commit_time = commit_list[-1]
-    core._n_src_reads += scan.n_reads
-    core._n_dest_writes += scan.n_writes
-    n_exec = core._n_exec
-    for fu, count in scan.fu_counts:
-        n_exec[fu] += count
-    core.uops_executed += n
-    core._since_prune += n
-    if core._since_prune >= _PRUNE_INTERVAL:
-        core._prune_slots()
-    return True
-
-
-# --------------------------------------------------------------------------
 # Plan compilers + run wrappers (the backend surface the simulator uses).
 # --------------------------------------------------------------------------
 
@@ -1067,15 +722,14 @@ def compile_hot_specialized(rows: list, per_cycle: int, params) -> tuple:
     always execute under the hot profile derived from it, so its widths
     are baked into the generated source.  Layout::
 
-        (replay_fn, probes, scan)
+        (replay_fn, probes)
 
     ``probes`` is ``((origin, mem_code, default_latency), ...)`` in uop
-    order — the wrapper's hierarchy-order-preserving prologue; ``scan``
-    is the compile-time contention analysis (None when ineligible).
+    order — the wrapper's hierarchy-order-preserving prologue.
 
     Whole plans are memoized on ``(rows, grouping, geometry)``: traces
     are rebuilt every run, but the plan is a pure function of the
-    planned rows, so repeat runs skip codegen and scan construction.
+    planned rows, so repeat runs skip codegen.
     """
     profile = ExecProfile.from_params(params)
     key = (tuple(rows), per_cycle, params.front_depth, params.rob_size,
@@ -1094,9 +748,7 @@ def compile_hot_specialized(rows: list, per_cycle: int, params) -> tuple:
     probes = tuple(
         (row[8], row[7], row[1]) for row in rows if row[7]
     )
-    scan = build_maxplus_scan(rows, per_cycle, params.front_depth, profile,
-                              params.rob_size, params.window_size)
-    plan = (fn, probes, scan)
+    plan = (fn, probes)
     memo[key] = plan
     if len(memo) > _PLAN_MEMO_LIMIT:
         memo.popitem(last=False)
@@ -1106,7 +758,7 @@ def compile_hot_specialized(rows: list, per_cycle: int, params) -> tuple:
 def compile_cold_specialized(instructions: list, params) -> tuple:
     """Compile a cold segment into a specialized plan.
 
-    Shares the cold contract of the other backends (cacheable per TID,
+    Shares the cold contract of the scalar backend (cacheable per TID,
     shareable across models with equal fetch parameters — nothing but
     the fetch grouping is baked into the source).  Layout::
 
@@ -1159,14 +811,13 @@ _EMPTY: list = []
 
 def run_hot_compiled(core, plan: tuple, instructions: list,
                      load_latency, store_access) -> None:
-    """Specialized twin of :func:`run_hot_columnar`.
+    """Specialized twin of :meth:`TimingCore.run_hot_plan`.
 
-    The prologue probes memory in recorded uop order (shared by both
-    execution paths, so the hierarchy sees exactly one scalar-order
-    pass); the max-plus pre-pass then either advances the whole segment
-    vectorized or defers to the generated sequential function.
+    The prologue probes memory in recorded uop order (the hierarchy
+    sees exactly the scalar probe sequence), then the generated function
+    replays the timing recurrence with the collected load latencies.
     """
-    fn, probes, scan = plan
+    fn, probes = plan
     if probes:
         mem_lats = []
         append = mem_lats.append
@@ -1181,18 +832,13 @@ def run_hot_compiled(core, plan: tuple, instructions: list,
                 store_access(addr)
     else:
         mem_lats = _EMPTY
-    if scan is not None and scan.fails < MAXPLUS_FAIL_LIMIT:
-        if run_maxplus(core, scan, mem_lats):
-            scan.fails = 0
-            return
-        scan.fails += 1
     fn(core, mem_lats)
 
 
 def run_cold_compiled(core, plan: tuple, instructions: list,
                       fetch_latency, load_latency, store_access,
                       predict_and_train) -> int:
-    """Specialized twin of :func:`run_cold_columnar`; returns mispredicts.
+    """Specialized twin of :meth:`TimingCore.run_cold_plan`; returns mispredicts.
 
     The prologue replays every hierarchy probe and predictor call in
     exact scalar order (they depend only on the recorded stream, never

@@ -40,7 +40,6 @@ _PHASE_BUCKETS: tuple[tuple[str, tuple[str, ...]], ...] = (
     # lazy-LRU flushes) gets its own row so the shared-overhead share
     # the batching attacked stays visible in `repro profile`.
     ("segment-batch", ("pipeline/segment_batch",)),
-    ("columnar", ("pipeline/columnar",)),
     ("execute", ("pipeline/core", "pipeline/resources")),
     ("memory", ("memory/",)),
     ("frontend", ("frontend/",)),
@@ -149,8 +148,8 @@ def profile_run(
     The simulator is constructed outside the profiled region (model
     configuration is one-time setup, not hot-path), so the report isolates
     the per-run cost the optimization work targets.  ``backend`` selects
-    the batch executor; columnar runs surface their executor time under
-    the ``columnar`` phase, compiled runs under ``replay(compiled)``.
+    the batch executor; compiled runs surface their executor time under
+    ``replay(compiled)``.
     """
     app = application(app_name)
     simulator = ParrotSimulator(model_config(model_name))

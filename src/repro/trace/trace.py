@@ -47,13 +47,8 @@ class Trace:
     #: and replayed on every later one (uops are immutable once the trace
     #: is installed; the optimizer installs a *new* Trace, resetting this).
     _hot_plan: tuple | None = field(default=None, repr=False, compare=False)
-    #: Columnar twin of ``_hot_plan`` (see ``repro.pipeline.columnar``),
-    #: compiled lazily when the owning machine runs the columnar backend.
-    _hot_plan_columnar: tuple | None = field(
-        default=None, repr=False, compare=False
-    )
     #: Specialized twin (see ``repro.pipeline.specialize``): the generated
-    #: replay function + probe plan + max-plus scan, compiled lazily when
+    #: replay function + probe plan, compiled lazily when
     #: the owning machine runs the compiled backend.
     _hot_plan_compiled: tuple | None = field(
         default=None, repr=False, compare=False

@@ -63,14 +63,14 @@ def int_workload() -> SyntheticWorkload:
 def swim_result_ton():
     """A cached TON run of swim (shared across read-only assertions)."""
     sim = ParrotSimulator(model_config("TON"))
-    return sim.run(application("swim"), 8000)
+    return sim.simulate(application("swim"), length=8000)
 
 
 @pytest.fixture(scope="session")
 def swim_result_n():
     """A cached N run of swim."""
     sim = ParrotSimulator(model_config("N"))
-    return sim.run(application("swim"), 8000)
+    return sim.simulate(application("swim"), length=8000)
 
 
 @pytest.fixture()

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.simulator import ParrotSimulator, segment_stream
+from repro.core.simulator import ParrotSimulator, RunOptions, segment_stream
 from repro.errors import WorkloadError
 from repro.experiments.engine import ExperimentEngine, ResultStore
 from repro.experiments.runner import ExperimentRunner, Scale
@@ -89,26 +89,30 @@ class TestSimulatorParity:
     ])
     def test_run_artifact_bit_identical(self, app_name, model, tmp_path):
         simulator = ParrotSimulator(model_config(model))
-        direct = simulator.run(application(app_name), LENGTH)
+        direct = simulator.simulate(application(app_name), length=LENGTH)
         artifact = _compile(app_name, tmp_path)
-        assert simulator.run_artifact(artifact).to_dict() == direct.to_dict()
+        assert simulator.simulate(artifact).to_dict() == direct.to_dict()
 
     def test_shared_segments_bit_identical(self, tmp_path):
         artifact = _compile("swim", tmp_path)
         segments = list(segment_stream(artifact.stream()))
         for model in ("N", "TON"):
             simulator = ParrotSimulator(model_config(model))
-            direct = simulator.run(application("swim"), LENGTH)
-            shared = simulator.run_artifact(artifact, segments=segments)
+            direct = simulator.simulate(application("swim"), length=LENGTH)
+            shared = simulator.simulate(
+                artifact, RunOptions(segments=segments)
+            )
             assert shared.to_dict() == direct.to_dict()
 
     def test_sampled_bit_identical(self, tmp_path):
         length = 60_000
         sampling = SamplingConfig()
         simulator = ParrotSimulator(model_config("TON"))
-        direct = simulator.run(application("swim"), length, sampling=sampling)
+        direct = simulator.simulate(
+            application("swim"), RunOptions(sampling=sampling), length=length
+        )
         artifact = _compile("swim", tmp_path, length)
-        sampled = simulator.run_artifact(artifact, sampling=sampling)
+        sampled = simulator.simulate(artifact, RunOptions(sampling=sampling))
         assert sampled.to_dict() == direct.to_dict()
 
 

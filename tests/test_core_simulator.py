@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.simulator import ParrotSimulator
+from repro.core.simulator import ParrotSimulator, RunOptions
 from repro.errors import SimulationError
 from repro.models.configs import MODEL_NAMES, model_config
 from repro.workloads.suite import application
@@ -11,7 +11,9 @@ from repro.workloads.suite import application
 class TestBasicRuns:
     @pytest.mark.parametrize("model", MODEL_NAMES)
     def test_every_model_simulates(self, model):
-        result = ParrotSimulator(model_config(model)).run(application("gzip"), 3000)
+        result = ParrotSimulator(model_config(model)).simulate(
+            application("gzip"), length=3000
+        )
         assert result.instructions == 3000
         assert result.cycles > 0
         assert result.ipc > 0
@@ -20,12 +22,14 @@ class TestBasicRuns:
 
     def test_zero_length_rejected(self):
         with pytest.raises(SimulationError):
-            ParrotSimulator(model_config("N")).run(application("gzip"), 0)
+            ParrotSimulator(model_config("N")).simulate(
+                application("gzip"), length=0
+            )
 
     def test_simulation_is_deterministic(self):
         sim = ParrotSimulator(model_config("TON"))
-        r1 = sim.run(application("art"), 4000)
-        r2 = sim.run(application("art"), 4000)
+        r1 = sim.simulate(application("art"), length=4000)
+        r2 = sim.simulate(application("art"), length=4000)
         assert r1.cycles == r2.cycles
         assert r1.total_energy == r2.total_energy
         assert r1.coverage == r2.coverage
@@ -33,11 +37,12 @@ class TestBasicRuns:
 
     def test_simulator_reusable_across_apps(self):
         sim = ParrotSimulator(model_config("TON"))
-        r1 = sim.run(application("gzip"), 2000)
-        r2 = sim.run(application("swim"), 2000)
+        r1 = sim.simulate(application("gzip"), length=2000)
+        r2 = sim.simulate(application("swim"), length=2000)
         assert r1.app_name == "gzip" and r2.app_name == "swim"
         # No state leaks: rerunning gzip reproduces the first result.
-        assert sim.run(application("gzip"), 2000).cycles == r1.cycles
+        again = sim.simulate(application("gzip"), length=2000)
+        assert again.cycles == r1.cycles
 
 
 class TestColdOnlyModels:
@@ -70,7 +75,9 @@ class TestTraceCacheModels:
         assert swim_result_ton.uop_reduction > 0
 
     def test_tn_never_optimizes(self):
-        result = ParrotSimulator(model_config("TN")).run(application("swim"), 6000)
+        result = ParrotSimulator(model_config("TN")).simulate(
+            application("swim"), length=6000
+        )
         assert result.trace_stats.traces_optimized == 0
         assert result.uop_reduction == 0.0
         assert result.events.get("optimizer_uop", 0) == 0
@@ -89,20 +96,26 @@ class TestTraceCacheModels:
 
 class TestSplitMachine:
     def test_tos_switches_state(self):
-        result = ParrotSimulator(model_config("TOS")).run(application("swim"), 6000)
+        result = ParrotSimulator(model_config("TOS")).simulate(
+            application("swim"), length=6000
+        )
         assert result.events.get("state_switch", 0) > 0
         assert result.coverage > 0.3
 
     def test_tos_completes_on_irregular_code(self):
-        result = ParrotSimulator(model_config("TOS")).run(application("gcc"), 4000)
+        result = ParrotSimulator(model_config("TOS")).simulate(
+            application("gcc"), length=4000
+        )
         assert result.instructions == 4000
 
 
 class TestPrewarm:
     def test_prewarm_reduces_memory_traffic(self):
         sim = ParrotSimulator(model_config("N"))
-        warm = sim.run(application("equake"), 4000, prewarm=True)
-        cold = sim.run(application("equake"), 4000, prewarm=False)
+        warm = sim.simulate(application("equake"), length=4000)
+        cold = sim.simulate(
+            application("equake"), RunOptions(prewarm=False), length=4000
+        )
         assert warm.events.get("memory_access", 0) < cold.events.get("memory_access", 1)
         assert warm.ipc >= cold.ipc
 
@@ -110,7 +123,7 @@ class TestPrewarm:
 class TestCustomStream:
     def test_run_stream_api(self, fp_workload):
         sim = ParrotSimulator(model_config("TON"))
-        result = sim.run_stream(
+        result = sim.simulate(
             fp_workload.stream(2000),
             app_name="custom-fp", suite="Custom",
             program=fp_workload.program,

@@ -42,7 +42,7 @@ class TestPublicApi:
     def test_quickstart_surface(self):
         """The README quickstart must work verbatim."""
         sim = repro.ParrotSimulator(repro.model_config("TON"))
-        result = sim.run(repro.application("swim"), 2000)
+        result = sim.simulate(repro.application("swim"), length=2000)
         assert result.ipc > 0
 
     def test_model_names_exported(self):

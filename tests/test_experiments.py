@@ -23,8 +23,7 @@ from repro.experiments.figures import (
     table3_1,
     table3_2,
 )
-from repro.experiments.engine import Scale
-from repro.experiments.runner import ExperimentRunner, bench_scale
+from repro.experiments.runner import ExperimentRunner
 
 
 def _result(app, suite, ipc=1.0, energy=1000.0, instructions=1000):
@@ -92,21 +91,6 @@ class TestRunner:
         runner = ExperimentRunner.from_environment()
         assert runner.max_apps is None and runner.length == 1234
         assert runner.jobs == 2 and runner.cache is False
-
-    def test_bench_scale_shim_deprecated(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_APPS", "all")
-        monkeypatch.setenv("REPRO_BENCH_LENGTH", "1234")
-        with pytest.warns(DeprecationWarning, match="Scale.from_environment"):
-            max_apps, length = bench_scale()
-        assert max_apps is None and length == 1234
-
-    def test_bench_scale_shim_matches_scale_defaults(self, monkeypatch):
-        for var in ("REPRO_BENCH_APPS", "REPRO_BENCH_LENGTH"):
-            monkeypatch.delenv(var, raising=False)
-        with pytest.warns(DeprecationWarning):
-            max_apps, length = bench_scale()
-        scale = Scale.from_environment()
-        assert (max_apps, length) == (scale.apps, scale.length) == (15, 20000)
 
     def test_runner_exposes_engine_counters(self, tmp_path):
         runner = ExperimentRunner(

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from repro.core.simulator import ParrotSimulator, SampledRun
+from repro.core.simulator import ParrotSimulator, RunOptions, SampledRun
 from repro.errors import ConfigurationError, SimulationError
 from repro.models.configs import model_config
 from repro.sampling import (
@@ -237,14 +237,17 @@ class TestSampledRuns:
     def test_sampling_none_is_the_historical_path(self):
         sim = ParrotSimulator(model_config("TON"))
         app = application("swim")
-        assert sim.run(app, 20_000) == sim.run(app, 20_000, sampling=None)
+        assert sim.simulate(app, length=20_000) == sim.simulate(
+            app, RunOptions(sampling=None), length=20_000
+        )
 
     def test_sampled_run_is_deterministic(self):
         sim = ParrotSimulator(model_config("N"))
         app = application("gzip")
         cfg = SamplingConfig()
-        first = sim.run_sampled(app, 120_000, sampling=cfg)
-        second = sim.run_sampled(app, 120_000, sampling=cfg)
+        options = RunOptions(sampling=cfg, estimate=True)
+        first = sim.simulate(app, options, length=120_000)
+        second = sim.simulate(app, options, length=120_000)
         assert first.result == second.result
         assert first.estimate.ipc.mean == second.estimate.ipc.mean
 
@@ -255,27 +258,32 @@ class TestSampledRuns:
             model_config("N"), sampling=SamplingConfig()
         )
         sim = ParrotSimulator(cfg)
-        result = sim.run(application("gzip"), 120_000)
+        result = sim.simulate(application("gzip"), length=120_000)
         assert result.instructions == 120_000
         # Sampled extrapolation differs from the bit-exact full walk.
-        full = ParrotSimulator(model_config("N")).run(
-            application("gzip"), 120_000
+        full = ParrotSimulator(model_config("N")).simulate(
+            application("gzip"), length=120_000
         )
         assert result.cycles != full.cycles
 
     def test_short_run_degenerates_to_exact_full_detail(self):
         sim = ParrotSimulator(model_config("N"))
         app = application("gzip")
-        sampled = sim.run_sampled(app, 20_000, sampling=SamplingConfig())
+        sampled = sim.simulate(
+            app, RunOptions(sampling=SamplingConfig(), estimate=True),
+            length=20_000,
+        )
         assert isinstance(sampled, SampledRun)
         assert sampled.estimate.exact
         assert sampled.estimate.ipc.half_width == 0.0
-        assert sampled.result == sim.run(app, 20_000)
+        assert sampled.result == sim.simulate(app, length=20_000)
 
     def test_run_sampled_rejects_nonpositive_length(self):
         sim = ParrotSimulator(model_config("N"))
         with pytest.raises(SimulationError):
-            sim.run_sampled(application("gzip"), 0)
+            sim.simulate(
+                application("gzip"), RunOptions(estimate=True), length=0
+            )
 
     @pytest.mark.parametrize("app_name,model_name", GOLDEN_PAIRS)
     def test_parity_with_full_detail_at_200k(self, app_name, model_name):
@@ -288,8 +296,11 @@ class TestSampledRuns:
         length = 200_000
         sim = ParrotSimulator(model_config(model_name))
         app = application(app_name)
-        full = sim.run(app, length)
-        sampled = sim.run_sampled(app, length, sampling=SamplingConfig())
+        full = sim.simulate(app, length=length)
+        sampled = sim.simulate(
+            app, RunOptions(sampling=SamplingConfig(), estimate=True),
+            length=length,
+        )
         estimate = sampled.estimate
 
         assert not estimate.exact

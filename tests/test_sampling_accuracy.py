@@ -48,7 +48,7 @@ from repro.sampling.accuracy import (
 )
 from repro.sampling.config import SamplingConfig
 
-BACKENDS = (ExecutionBackend.SCALAR, ExecutionBackend.COLUMNAR)
+BACKENDS = (ExecutionBackend.SCALAR, ExecutionBackend.COMPILED)
 
 
 @pytest.fixture(scope="module")
@@ -141,11 +141,11 @@ class TestAdaptiveAccuracy:
 
 class TestBackendParity:
     def test_adaptive_estimates_bit_identical_across_backends(self, frontier):
-        for scalar, columnar in zip(
+        for scalar, compiled in zip(
             frontier[ExecutionBackend.SCALAR]["adaptive"],
-            frontier[ExecutionBackend.COLUMNAR]["adaptive"],
+            frontier[ExecutionBackend.COMPILED]["adaptive"],
         ):
-            s_est, c_est = scalar.estimate, columnar.estimate
+            s_est, c_est = scalar.estimate, compiled.estimate
             assert s_est.ipc.mean == c_est.ipc.mean
             assert s_est.epi.mean == c_est.epi.mean
             assert s_est.ipc.half_width == c_est.ipc.half_width
@@ -157,8 +157,8 @@ class TestBackendParity:
                 assert s_phase.measured == c_phase.measured
                 assert s_phase.ipc.mean == c_phase.ipc.mean
                 assert s_phase.closed == c_phase.closed
-            assert scalar.full_ipc == columnar.full_ipc
-            assert scalar.full_epi == columnar.full_epi
+            assert scalar.full_ipc == compiled.full_ipc
+            assert scalar.full_epi == compiled.full_epi
 
 
 class TestSpeedupFrontier:

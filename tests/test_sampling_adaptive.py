@@ -209,8 +209,8 @@ class TestAdaptiveFaultInjection:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SamplingWarning)
             scalar = _simulate("eon", "TOW", 20_000, cfg)
-            columnar = _simulate(
+            compiled = _simulate(
                 "eon", "TOW", 20_000, cfg,
-                backend=ExecutionBackend.COLUMNAR,
+                backend=ExecutionBackend.COMPILED,
             )
-        assert scalar.result.to_dict() == columnar.result.to_dict()
+        assert scalar.result.to_dict() == compiled.result.to_dict()

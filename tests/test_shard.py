@@ -92,7 +92,7 @@ class TestShardPlan:
 
     def test_round_trip(self):
         plan = self._plan(sampling=SamplingConfig(),
-                          backend=ExecutionBackend.COLUMNAR)
+                          backend=ExecutionBackend.COMPILED)
         again = ShardPlan.from_dict(plan.to_dict())
         assert again == plan
         assert again.digest() == plan.digest()
@@ -112,7 +112,7 @@ class TestShardPlan:
     @pytest.mark.parametrize("tamper", [
         {"length": 2500},
         {"shards": [[["N", "gzip"]]]},
-        {"backend": "columnar"},
+        {"backend": "compiled"},
     ])
     def test_tampered_plan_is_rejected(self, tamper):
         payload = self._plan().to_dict()

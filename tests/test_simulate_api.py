@@ -1,20 +1,16 @@
-"""The simulate()/RunOptions API: parity with the legacy entry points.
+"""The simulate()/RunOptions API: one entry point, unified validation.
 
-``ParrotSimulator.simulate`` is the one non-deprecated run entry point;
-the four historical methods (``run``/``run_sampled``/``run_stream``/
-``run_artifact``) are thin shims over it.  These tests pin three
-contracts:
+``ParrotSimulator.simulate`` is the one run entry point.  These tests pin
+three contracts:
 
-* every legacy call shape produces the bit-identical result through
-  ``simulate`` — for all three source types and both execution backends;
-* the legacy methods warn ``DeprecationWarning`` (they still work);
+* shared caches and the estimate return shape never change a result;
 * validation is unified in ``simulate`` and raises
-  :class:`~repro.errors.SimulationError` naming the offending source.
+  :class:`~repro.errors.SimulationError` naming the offending source;
+* :class:`RunOptions` round-trips into the persistent store's run keys,
+  and backend specs parse to the two execution backends.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -36,13 +32,6 @@ from repro.workloads.tracefile import compile_artifact
 LENGTH = 2000
 
 
-def _legacy(method, *args, **kwargs):
-    """Call a deprecated entry point with its warning silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return method(*args, **kwargs)
-
-
 @pytest.fixture(scope="module")
 def artifact(tmp_path_factory):
     app = application("gzip")
@@ -50,50 +39,8 @@ def artifact(tmp_path_factory):
     return compile_artifact(app, app.seed, LENGTH, root=root)
 
 
-class TestLegacyParity:
-    """simulate() is bit-identical to each legacy path it replaces."""
-
-    @pytest.mark.parametrize(
-        "backend", [ExecutionBackend.SCALAR, ExecutionBackend.COLUMNAR]
-    )
-    def test_application_source_matches_run(self, backend):
-        app = application("swim")
-        legacy = _legacy(
-            ParrotSimulator(model_config("TON")).run, app, LENGTH
-        )
-        unified = ParrotSimulator(model_config("TON")).simulate(
-            app, RunOptions(backend=backend), length=LENGTH
-        )
-        assert unified.to_dict() == legacy.to_dict()
-
-    @pytest.mark.parametrize(
-        "backend", [ExecutionBackend.SCALAR, ExecutionBackend.COLUMNAR]
-    )
-    def test_stream_source_matches_run_stream(self, backend):
-        workload = application("gcc").build()
-        legacy = _legacy(
-            ParrotSimulator(model_config("N")).run_stream,
-            workload.stream(LENGTH),
-            app_name="gcc", suite="SpecInt", program=workload.program,
-        )
-        workload = application("gcc").build()
-        unified = ParrotSimulator(model_config("N")).simulate(
-            workload.stream(LENGTH), RunOptions(backend=backend),
-            app_name="gcc", suite="SpecInt", program=workload.program,
-        )
-        assert unified.to_dict() == legacy.to_dict()
-
-    @pytest.mark.parametrize(
-        "backend", [ExecutionBackend.SCALAR, ExecutionBackend.COLUMNAR]
-    )
-    def test_artifact_source_matches_run_artifact(self, artifact, backend):
-        legacy = _legacy(
-            ParrotSimulator(model_config("TON")).run_artifact, artifact
-        )
-        unified = ParrotSimulator(model_config("TON")).simulate(
-            artifact, RunOptions(backend=backend)
-        )
-        assert unified.to_dict() == legacy.to_dict()
+class TestSimulateParity:
+    """Shared caches and the return shape never change a result."""
 
     def test_artifact_shared_caches_match_private_ones(self, artifact):
         segments = artifact.segments()
@@ -103,21 +50,6 @@ class TestLegacyParity:
             artifact, RunOptions(segments=segments, cold_plans=cache)
         )
         assert shared.to_dict() == private.to_dict()
-
-    def test_sampled_matches_run_sampled(self):
-        app = application("swim")
-        sampling = SamplingConfig(detail=400, gap=1000, warmup=200,
-                                  func_warm=300)
-        legacy = _legacy(
-            ParrotSimulator(model_config("TON")).run_sampled,
-            app, 8000, sampling=sampling,
-        )
-        unified = ParrotSimulator(model_config("TON")).simulate(
-            app, RunOptions(sampling=sampling, estimate=True), length=8000
-        )
-        assert isinstance(unified, SampledRun)
-        assert unified.result.to_dict() == legacy.result.to_dict()
-        assert unified.estimate.ipc.mean == legacy.estimate.ipc.mean
 
     def test_sampling_without_estimate_returns_bare_result(self):
         app = application("swim")
@@ -129,89 +61,8 @@ class TestLegacyParity:
         sampled = ParrotSimulator(model_config("TON")).simulate(
             app, RunOptions(sampling=sampling, estimate=True), length=8000
         )
+        assert isinstance(sampled, SampledRun)
         assert result.to_dict() == sampled.result.to_dict()
-
-
-def _sole_deprecation(invoke):
-    """Invoke a shim, returning its single captured DeprecationWarning."""
-    with warnings.catch_warnings(record=True) as captured:
-        warnings.simplefilter("always")
-        invoke()
-    records = [w for w in captured
-               if issubclass(w.category, DeprecationWarning)]
-    assert len(records) == 1, (
-        f"expected exactly one DeprecationWarning, got "
-        f"{[str(w.message) for w in records]}"
-    )
-    return records[0]
-
-
-class TestDeprecationShims:
-    """Each shim warns once, names its replacement, and blames the caller.
-
-    The warning text must carry the full migration target (so the fix is
-    copy-pasteable from the console), and ``stacklevel=2`` must attribute
-    the warning to the *calling* file — this one — not to the module the
-    shim lives in.
-    """
-
-    def test_run_warning_text_and_stacklevel(self):
-        record = _sole_deprecation(
-            lambda: ParrotSimulator(model_config("N")).run(
-                application("gzip"), 1000
-            )
-        )
-        assert str(record.message) == (
-            "ParrotSimulator.run() is deprecated; use "
-            "simulate(app, RunOptions(...), length=...)"
-        )
-        assert record.filename == __file__
-
-    def test_run_sampled_warning_text_and_stacklevel(self):
-        record = _sole_deprecation(
-            lambda: ParrotSimulator(model_config("N")).run_sampled(
-                application("gzip"), 6000,
-                sampling=SamplingConfig(detail=400, gap=1000, warmup=200,
-                                        func_warm=300),
-            )
-        )
-        assert str(record.message) == (
-            "ParrotSimulator.run_sampled() is deprecated; use "
-            "simulate(app, RunOptions(sampling=..., estimate=True), "
-            "length=...)"
-        )
-        assert record.filename == __file__
-
-    def test_run_stream_warning_text_and_stacklevel(self):
-        workload = application("gzip").build()
-        record = _sole_deprecation(
-            lambda: ParrotSimulator(model_config("N")).run_stream(
-                workload.stream(1000), app_name="gzip"
-            )
-        )
-        assert str(record.message) == (
-            "ParrotSimulator.run_stream() is deprecated; use "
-            "simulate(stream, app_name=..., suite=..., program=...)"
-        )
-        assert record.filename == __file__
-
-    def test_run_artifact_warning_text_and_stacklevel(self, artifact):
-        record = _sole_deprecation(
-            lambda: ParrotSimulator(model_config("N")).run_artifact(artifact)
-        )
-        assert str(record.message) == (
-            "ParrotSimulator.run_artifact() is deprecated; use "
-            "simulate(artifact, RunOptions(segments=..., cold_plans=...))"
-        )
-        assert record.filename == __file__
-
-    def test_bench_scale_warning_text_and_stacklevel(self):
-        from repro.experiments.runner import bench_scale
-        record = _sole_deprecation(lambda: bench_scale())
-        assert str(record.message) == (
-            "bench_scale() is deprecated; use Scale.from_environment()"
-        )
-        assert record.filename == __file__
 
 
 class TestUnifiedValidation:
@@ -275,19 +126,10 @@ class TestUnifiedValidation:
                 artifact, RunOptions(cold_plans=cache)
             )
 
-    def test_bare_dict_cold_plans_are_scalar_only(self, artifact):
-        segments = artifact.segments()
-        options = RunOptions(
-            segments=segments, cold_plans={},
-            backend=ExecutionBackend.COLUMNAR,
-        )
-        with pytest.raises(SimulationError, match="scalar-only"):
+    def test_bare_dict_cold_plans_are_rejected(self, artifact):
+        options = RunOptions(segments=artifact.segments(), cold_plans={})
+        with pytest.raises(SimulationError, match="must be a ColdPlanCache"):
             ParrotSimulator(model_config("N")).simulate(artifact, options)
-        # The deprecated bare-dict contract still works on the scalar path.
-        scalar = ParrotSimulator(model_config("N")).simulate(
-            artifact, RunOptions(segments=segments, cold_plans={})
-        )
-        assert scalar.instructions == LENGTH
 
 
 class TestRunOptionsKeys:
@@ -304,12 +146,12 @@ class TestRunOptionsKeys:
         ) == run_key(config, "swim", 2000, sampling)
 
     def test_backend_never_splits_the_key(self):
-        # Scalar and columnar are pinned bit-identical, so either backend
+        # Scalar and compiled are pinned bit-identical, so either backend
         # may serve a stored cell: the key must not depend on it.
         config = model_config("TON")
         assert run_key(
             config, "swim", 2000,
-            RunOptions(backend=ExecutionBackend.COLUMNAR),
+            RunOptions(backend=ExecutionBackend.COMPILED),
         ) == run_key(config, "swim", 2000, RunOptions())
 
     def test_prewarm_splits_the_key(self):
@@ -319,34 +161,27 @@ class TestRunOptionsKeys:
             config, "swim", 2000, RunOptions(prewarm=False)
         ) != run_key(config, "swim", 2000, RunOptions())
 
-    def test_fingerprint_covers_regime_fields(self):
-        base = RunOptions()
-        assert base.fingerprint() == "sampling=off|prewarm=1|backend=scalar"
-        varied = [
-            RunOptions(sampling=SamplingConfig()),
-            RunOptions(prewarm=False),
-            RunOptions(backend=ExecutionBackend.COLUMNAR),
-        ]
-        prints = {options.fingerprint() for options in varied}
-        assert len(prints) == 3 and base.fingerprint() not in prints
-
 
 class TestBackendParsing:
     def test_parse_backend(self):
         assert parse_backend(None) is ExecutionBackend.SCALAR
         assert parse_backend("") is ExecutionBackend.SCALAR
         assert parse_backend("scalar") is ExecutionBackend.SCALAR
-        assert parse_backend("COLUMNAR") is ExecutionBackend.COLUMNAR
+        assert parse_backend("COMPILED") is ExecutionBackend.COMPILED
+        assert list(ExecutionBackend) == [ExecutionBackend.SCALAR,
+                                          ExecutionBackend.COMPILED]
 
     def test_parse_backend_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown execution backend"):
             parse_backend("vectorised")
+        with pytest.raises(ValueError, match="choose from: scalar, compiled"):
+            parse_backend("columnar")
 
     def test_resolve_run_options_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_BACKEND", "columnar")
+        monkeypatch.setenv("REPRO_BENCH_BACKEND", "compiled")
         monkeypatch.setenv("REPRO_BENCH_SAMPLING", "on")
         options = resolve_run_options()
-        assert options.backend is ExecutionBackend.COLUMNAR
+        assert options.backend is ExecutionBackend.COMPILED
         assert options.sampling == SamplingConfig()
         # Explicit specs win over the environment.
         explicit = resolve_run_options("off", "scalar")

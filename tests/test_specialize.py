@@ -1,17 +1,16 @@
-"""Compiled execution backend: specialization, caching, max-plus scan.
+"""Compiled execution backend: specialization, caching, parity.
 
 The compiled backend (:mod:`repro.pipeline.specialize`) generates a
-dedicated Python replay function per plan and, for eligible hot plans, a
-vectorized max-plus issue pre-pass.  Its contract is exact agreement with
-the scalar reference, pinned here the same way the columnar suite pins
-its backend: against the goldens, across machine models, across the
-sampled/adaptive regimes and over the shared artifact stack.  On top of
-the parity gates this file covers the backend's own machinery — the
+dedicated Python replay function per plan.  Its contract is exact
+agreement with the scalar reference, pinned here against the goldens,
+across machine models, across the sampled/adaptive regimes and over the
+shared artifact stack.  On top of the parity gates this file covers the
+backend's own machinery — the compile-time dependency links, the
 content-keyed loader stack (memory LRU, disk cache, quarantine), the
 whole-plan memo, the shared :class:`ColdPlanCache` contract, profiler
-phase attribution for generated frames, and Hypothesis property tests
-that the max-plus scan equals the sequential recurrence on randomly
-generated (mostly uncontended) segments.
+phase attribution for generated frames, and a Hypothesis property test
+that a generated hot replay equals the scalar hot-plan executor on
+random segments and dirty entry states.
 """
 
 from __future__ import annotations
@@ -27,10 +26,11 @@ import repro.pipeline.specialize as sp
 from repro.core.simulator import ColdPlanCache, ParrotSimulator, RunOptions
 from repro.errors import SimulationError
 from repro.isa.opcodes import FuClass
+from repro.isa.registers import NUM_ARCH_REGS, REG_NONE
 from repro.models.configs import model_config
 from repro.pipeline.columnar import ExecutionBackend
-from repro.pipeline.core import TimingCore
-from repro.pipeline.resources import CoreParams, ExecProfile
+from repro.pipeline.core import TimingCore, compile_plan_stats
+from repro.pipeline.resources import CoreParams
 from repro.profiling import classify_function
 from repro.sampling.config import SamplingConfig
 from repro.workloads.suite import application
@@ -38,7 +38,7 @@ from repro.workloads.tracefile import compile_artifact
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
-#: The same pinned runs the scalar and columnar parity gates use.
+#: The same pinned runs the scalar parity gate uses.
 PARITY_RUNS = [
     ("swim", "TON", 4000),
     ("gcc", "N", 4000),
@@ -58,7 +58,7 @@ def _simulate(app_name: str, model_name: str, length: int,
 
 
 # --------------------------------------------------------------------------
-# Parity gates (mirroring tests/test_columnar.py).
+# Parity gates.
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("app_name,model_name,length", PARITY_RUNS)
@@ -98,7 +98,12 @@ def test_compiled_matches_scalar_sampled():
 
 
 def test_compiled_matches_scalar_adaptive():
-    """Adaptive sampling is backend-independent, estimate included."""
+    """Adaptive sampling is backend-independent, estimate included.
+
+    The phase classifier's decisions (which periods re-measure, which
+    reuse) and the resulting per-phase estimate must be bit-identical
+    across backends, not just the machine counters and pooled means.
+    """
     sampling = SamplingConfig(mode="adaptive", detail=500, gap=1500,
                               warmup=300, func_warm=500,
                               phase_threshold=0.3)
@@ -116,13 +121,22 @@ def test_compiled_matches_scalar_adaptive():
     assert compiled.estimate.intervals == scalar.estimate.intervals
     assert compiled.estimate.ipc.mean == scalar.estimate.ipc.mean
     assert compiled.estimate.epi.mean == scalar.estimate.epi.mean
+    assert len(compiled.estimate.phases) == len(scalar.estimate.phases)
+    for c_phase, s_phase in zip(compiled.estimate.phases,
+                                scalar.estimate.phases):
+        assert (c_phase.phase, c_phase.periods, c_phase.measured,
+                c_phase.closed, c_phase.reused) == (
+            s_phase.phase, s_phase.periods, s_phase.measured,
+            s_phase.closed, s_phase.reused)
+        assert c_phase.ipc.mean == s_phase.ipc.mean
+        assert c_phase.epi.mean == s_phase.epi.mean
 
 
 def test_compiled_artifact_with_shared_caches(tmp_path):
-    """Artifact + shared segments + ColdPlanCache, all three backends.
+    """Artifact + shared segments + ColdPlanCache, both backends.
 
-    Two models with equal fetch parameters share one cache across every
-    backend; each combination must match the generator-path scalar run.
+    Two models with equal fetch parameters share one cache across both
+    backends; each combination must match the generator-path scalar run.
     """
     app = application("gcc")
     artifact = compile_artifact(app, app.seed, 3000, root=tmp_path)
@@ -141,7 +155,7 @@ def test_compiled_artifact_with_shared_caches(tmp_path):
 
 
 # --------------------------------------------------------------------------
-# ColdPlanCache contract (shared by columnar and compiled cold plans).
+# ColdPlanCache contract (shared by scalar and compiled cold plans).
 # --------------------------------------------------------------------------
 
 class TestColdPlanCache:
@@ -304,19 +318,73 @@ def test_generated_frames_bucket_as_compiled_replay():
     assert classify_function("<repro-compiled:deadbeef>") == "replay(compiled)"
     assert (classify_function("/x/src/repro/pipeline/specialize.py")
             == "replay(compiled)")
-    assert classify_function("/x/src/repro/pipeline/columnar.py") == "columnar"
 
 
 # --------------------------------------------------------------------------
-# Max-plus scan vs the sequential recurrence (property-based).
+# Dependency links: the compile-time wake-up resolution of generated code.
 # --------------------------------------------------------------------------
 
-#: Wide-machine geometry: plenty of issue/FU bandwidth so random segments
-#: are mostly uncontended and the scan's success path is the common case.
-_WIDE = CoreParams(
-    name="maxplus-test", rename_width=4, issue_width=16, commit_width=4,
-    rob_size=128, window_size=48,
-    fu_counts={FuClass.INT: 16, FuClass.MEM_LOAD: 16, FuClass.FP: 16},
+class TestDependencyLinks:
+    """The compile-time wake-up resolution the replay functions rely on."""
+
+    @staticmethod
+    def _row(src1=REG_NONE, src2=REG_NONE, extra=(), dest=REG_NONE,
+             dest2=REG_NONE):
+        return (FuClass.INT, 1, src1, src2, tuple(extra), dest, dest2,
+                0, 0)
+
+    def test_in_segment_producers_and_carried_reads(self):
+        rows = [
+            self._row(dest=3),            # uop 0 writes r3
+            self._row(src1=3, src2=4),    # uop 1: r3 in-segment, r4 carried
+        ]
+        producers, carried, last_writers = sp._dependency_links(rows)
+        assert producers == [None, (0,)]
+        assert carried == [None, (4,)]
+        assert dict(last_writers) == {3: 0}
+
+    def test_last_writer_wins(self):
+        rows = [self._row(dest=5), self._row(dest=5)]
+        _producers, _carried, last_writers = sp._dependency_links(rows)
+        assert dict(last_writers) == {5: 1}
+
+    def test_negative_extra_sources_alias_like_the_scalar_loop(self):
+        # The scalar executor reads ``reg_ready[src]`` unguarded for
+        # packed extra sources, so REG_NONE (-1) wraps to the register
+        # file's last cell in CPython; the links must alias identically.
+        rows = [self._row(extra=(REG_NONE,))]
+        _producers, carried, _last_writers = sp._dependency_links(rows)
+        assert carried == [(REG_NONE + NUM_ARCH_REGS,)]
+
+
+# --------------------------------------------------------------------------
+# Generated hot replay vs the scalar hot-plan executor (property-based).
+# --------------------------------------------------------------------------
+
+#: A wide machine (mostly uncontended issue), a narrow one whose single
+#: unit per FU class makes issue contend, one whose ROB is as small as
+#: its window (so the ROB gate binds) and one with a tiny window.
+_GEOMETRIES = (
+    CoreParams(
+        name="wide-test", rename_width=4, issue_width=16, commit_width=4,
+        rob_size=128, window_size=48,
+        fu_counts={FuClass.INT: 16, FuClass.MEM_LOAD: 16, FuClass.FP: 16},
+    ),
+    CoreParams(
+        name="narrow-test", rename_width=3, issue_width=2, commit_width=3,
+        rob_size=24, window_size=6,
+        fu_counts={FuClass.INT: 1, FuClass.MEM_LOAD: 1, FuClass.FP: 1},
+    ),
+    CoreParams(
+        name="rob-test", rename_width=4, issue_width=4, commit_width=2,
+        rob_size=6, window_size=6,
+        fu_counts={FuClass.INT: 4, FuClass.MEM_LOAD: 4, FuClass.FP: 4},
+    ),
+    CoreParams(
+        name="window-test", rename_width=4, issue_width=4, commit_width=4,
+        rob_size=64, window_size=3,
+        fu_counts={FuClass.INT: 4, FuClass.MEM_LOAD: 4, FuClass.FP: 4},
+    ),
 )
 _PER_CYCLE = 8
 _FUS = (FuClass.INT, FuClass.MEM_LOAD, FuClass.FP)
@@ -338,12 +406,29 @@ def _types(state) -> list:
     return [type(v) for v in state[0]] + [type(v) for v in state[5]]
 
 
+class _Instr:
+    address = 0
+
+
+class _Dyn:
+    """The two fields a hot replay reads from a dynamic instruction."""
+
+    instr = _Instr()
+
+    def __init__(self, mem_addr):
+        self.mem_addr = mem_addr
+
+
 @st.composite
 def _segments(draw):
-    """A random planned-row segment plus its per-load latencies."""
-    n = draw(st.integers(min_value=4, max_value=24))
+    """A random planned-row segment plus each uop's load-latency override.
+
+    Uop ``k`` carries origin ``k`` and reads memory address ``k``; an
+    override of 0 keeps the row's static latency, as an L1 hit does.
+    """
+    n = draw(st.integers(min_value=1, max_value=24))
     rows = []
-    mem_lats = []
+    overrides = []
     for k in range(n):
         fu = draw(st.sampled_from(_FUS))
         is_load = fu is FuClass.MEM_LOAD
@@ -353,136 +438,41 @@ def _segments(draw):
         dest = draw(st.integers(min_value=-1, max_value=15))
         rows.append((fu, latency, src1, src2, (), dest, -1,
                      1 if is_load else 0, k))
-        if is_load:
-            mem_lats.append(draw(st.integers(min_value=1, max_value=30)))
-    return rows, mem_lats
+        overrides.append(draw(st.sampled_from((0, 0, 12, 30))))
+    return rows, overrides
 
 
-def _compile_pair(rows):
-    profile = ExecProfile.from_params(_WIDE)
-    source = sp._hot_source(rows, _PER_CYCLE, _WIDE.front_depth, profile,
-                            _WIDE.rob_size, _WIDE.window_size)
-    fn = sp.load_replay(source)
-    scan = sp.build_maxplus_scan(
-        rows, _PER_CYCLE, _WIDE.front_depth, profile,
-        _WIDE.rob_size, _WIDE.window_size, min_uops=1, max_depth=64,
-    )
-    return fn, scan
+def _replay_scalar(core, rows, overrides):
+    groups = [tuple(rows[i:i + _PER_CYCLE])
+              for i in range(0, len(rows), _PER_CYCLE)]
+    plan = (groups, *compile_plan_stats(rows))
+    core.run_hot_plan(plan, [_Dyn(k) for k in range(len(rows))],
+                      overrides.__getitem__, lambda addr: None)
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=_segments(), prefix=_segments())
-def test_maxplus_equals_sequential(data, prefix):
-    """When the scan verifies, its state equals the sequential replay's.
+def _replay_compiled(core, rows, overrides):
+    plan = sp.compile_hot_specialized(rows, _PER_CYCLE, core.params)
+    sp.run_hot_compiled(core, plan, [_Dyn(k) for k in range(len(rows))],
+                        overrides.__getitem__, lambda addr: None)
 
-    ``prefix`` is first replayed sequentially on both cores so the scan
-    also faces dirty entry states (dispatch backlog, populated rings and
-    slot tables) — the steady state of back-to-back hot replays.
+
+@settings(max_examples=100, deadline=None)
+@given(geometry=st.sampled_from(_GEOMETRIES), segments=st.lists(
+    _segments(), min_size=1, max_size=3))
+def test_compiled_hot_replay_equals_scalar_plan(geometry, segments):
+    """Back-to-back hot replays leave bit-identical core state.
+
+    Later segments start from the dirty state the earlier ones left
+    (dispatch backlog, populated rings and slot tables) — the steady
+    state of consecutive hot executions.
     """
-    rows, mem_lats = data
-    p_rows, p_lats = prefix
-    fn, scan = _compile_pair(rows)
-    assert scan is not None, "wide geometry must be statically eligible"
-    p_fn, _ = _compile_pair(p_rows)
-
-    core_scan = TimingCore(_WIDE)
-    core_seq = TimingCore(_WIDE)
-    for core in (core_scan, core_seq):
-        p_fn(core, p_lats)
-
-    before = _core_state(core_scan)
-    ok = sp.run_maxplus(core_scan, scan, mem_lats)
-    fn(core_seq, mem_lats)
-    if ok:
-        after_scan = _core_state(core_scan)
-        after_seq = _core_state(core_seq)
-        assert after_scan == after_seq
+    scalar = TimingCore(geometry)
+    compiled = TimingCore(geometry)
+    for rows, overrides in segments:
+        _replay_scalar(scalar, rows, overrides)
+        _replay_compiled(compiled, rows, overrides)
+        after_scalar = _core_state(scalar)
+        after_compiled = _core_state(compiled)
+        assert after_compiled == after_scalar
         # Bit-identity includes types: ints stay ints, commits floats.
-        assert _types(after_scan) == _types(after_seq)
-    else:
-        assert _core_state(core_scan) == before, (
-            "a bailed scan must leave the core untouched"
-        )
-
-
-def test_maxplus_engages_on_uncontended_segment():
-    """Deterministic success-path anchor for the property test above."""
-    rows = [(FuClass.INT, 1, -1, -1, (), 3, -1, 0, k) for k in range(8)]
-    fn, scan = _compile_pair(rows)
-    core_scan = TimingCore(_WIDE)
-    core_seq = TimingCore(_WIDE)
-    assert sp.run_maxplus(core_scan, scan, [])
-    fn(core_seq, [])
-    assert _core_state(core_scan) == _core_state(core_seq)
-
-
-def test_maxplus_bails_on_contended_segment():
-    """Per-FU demand beyond the width must refuse, state untouched."""
-    narrow = CoreParams(
-        name="contended", rename_width=8, issue_width=8, commit_width=4,
-        rob_size=128, window_size=48, fu_counts={FuClass.INT: 1},
-    )
-    rows = [(FuClass.INT, 1, -1, -1, (), -1, -1, 0, k) for k in range(8)]
-    profile = ExecProfile.from_params(narrow)
-    scan = sp.build_maxplus_scan(
-        rows, _PER_CYCLE, narrow.front_depth, profile,
-        narrow.rob_size, narrow.window_size, min_uops=1, max_depth=64,
-    )
-    core = TimingCore(narrow)
-    before = _core_state(core)
-    assert not sp.run_maxplus(core, scan, [])
-    assert _core_state(core) == before
-
-
-def test_maxplus_fail_streak_benches_the_scan(monkeypatch):
-    """After MAXPLUS_FAIL_LIMIT consecutive misses the wrapper stops
-    attempting the scan (and a success resets the streak)."""
-    calls = {"n": 0}
-
-    def counting_run_maxplus(core, scan, mem_lats):
-        calls["n"] += 1
-        return False
-
-    monkeypatch.setattr(sp, "run_maxplus", counting_run_maxplus)
-    rows = [(FuClass.INT, 1, -1, -1, (), -1, -1, 0, k) for k in range(8)]
-    fn, scan = _compile_pair(rows)
-    assert scan is not None
-    scan.fails = 0
-    core = TimingCore(_WIDE)
-    plan = (fn, (), scan)
-    for _ in range(sp.MAXPLUS_FAIL_LIMIT + 5):
-        sp.run_hot_compiled(core, plan, [], None, None)
-    assert calls["n"] == sp.MAXPLUS_FAIL_LIMIT
-    assert scan.fails == sp.MAXPLUS_FAIL_LIMIT
-
-
-def test_maxplus_production_floor_excludes_hot_frames():
-    """The production ``MAXPLUS_MIN_UOPS`` floor sits *above* the 64-uop
-    trace-cache frame cap on purpose, so no production hot plan ever
-    builds a scan — the gate is not dead code, it is the measured
-    crossover.  Forcing the floor down to 32 so the scan engages on
-    64-uop hot frames regresses the warmed full-detail run (swim/TON,
-    100k instructions, compiled backend) from 73.6 ms to 244.0 ms with
-    bit-identical results: below ~96 uops the scan's setup cost swamps
-    the replay it replaces.  Cold plans never build a scan at any size
-    (their branch predictions feed back into the same segment's fetch
-    redirects), so the floor only ever gates hot plans.
-    """
-    from repro.trace.trace import TRACE_CAPACITY_UOPS
-
-    assert sp.MAXPLUS_MIN_UOPS > TRACE_CAPACITY_UOPS
-    profile = ExecProfile.from_params(_WIDE)
-
-    def scan_for(n):
-        rows = [(FuClass.INT, 1, -1, -1, (), k % 16, -1, 0, k)
-                for k in range(n)]
-        return sp.build_maxplus_scan(
-            rows, _PER_CYCLE, _WIDE.front_depth, profile,
-            _WIDE.rob_size, _WIDE.window_size,
-        )
-
-    # A maximum-size hot frame stays below the floor: no scan.
-    assert scan_for(TRACE_CAPACITY_UOPS) is None
-    # The same shape past the floor is eligible — the gate is the only
-    # thing rejecting production frames, not some structural check.
-    assert scan_for(sp.MAXPLUS_MIN_UOPS) is not None
+        assert _types(after_compiled) == _types(after_scalar)

@@ -71,12 +71,12 @@ class TestReplaySimulation:
         """A trace-driven run must reproduce the live-generated run."""
         trace = TraceFile.load(trace_path)
         sim = ParrotSimulator(model_config("TON"))
-        live = sim.run_stream(
+        live = sim.simulate(
             fp_workload.stream(3000), app_name="live",
             program=fp_workload.program,
         )
-        replayed = sim.run_stream(trace.stream(), app_name="replay",
-                                  program=fp_workload.program)
+        replayed = sim.simulate(trace.stream(), app_name="replay",
+                                program=fp_workload.program)
         assert replayed.cycles == live.cycles
         assert replayed.coverage == live.coverage
         assert replayed.total_energy == live.total_energy
@@ -104,5 +104,5 @@ class TestReplaySimulation:
         from repro.memory.hierarchy import MemoryHierarchy
         trace = TraceFile.load(trace_path)
         sim = ParrotSimulator(model_config("N"))
-        result = sim.run_stream(trace.stream(), app_name="standalone")
+        result = sim.simulate(trace.stream(), app_name="standalone")
         assert result.instructions == len(trace)

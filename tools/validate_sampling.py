@@ -14,7 +14,7 @@ sections come from this harness.
 
 Usage:  python tools/validate_sampling.py [--length L] [--pairs swim:TON,...]
         [--sampling [adaptive:]DETAIL:GAP:WARMUP[:FUNC_WARM][:CONFIDENCE]]
-        [--backend scalar|columnar] [--source generator|artifact]
+        [--backend scalar|compiled] [--source generator|artifact]
         [--repeat N]
 """
 
