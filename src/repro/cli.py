@@ -72,8 +72,7 @@ environment:
   REPRO_BENCH_SAMPLING                    default sampling regime (off)
   REPRO_BENCH_ARTIFACTS=0                 disable compiled trace artifacts
   REPRO_BENCH_BACKEND                     default execution backend (scalar)
-  REPRO_COMPILED_CACHE=0                  disable the compiled-plan disk cache
-  REPRO_CACHE_DIR                         store location (~/.cache/repro)
+  REPRO_CACHE_DIR                         cache location (~/.cache/repro)
 """
 
 #: Process-wide runner registry: one memoised grid per Scale, so every
@@ -294,41 +293,21 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 def cmd_cache(args: argparse.Namespace) -> int:
     """Inspect or clear the result store, artifact and compiled-plan caches."""
-    store = ResultStore()
-    artifacts = ArtifactCache()
-    plans = CompiledPlanCache()
-    if args.action == "info":
-        info = store.info()
-        print(f"store     {info.path}")
-        print(f"entries   {info.entries}")
-        print(f"size      {info.total_bytes} bytes")
-        print(f"schema    v{info.schema_version}")
-        if info.stale_tmp:
-            print(f"swept     {info.stale_tmp} stale tmp file(s)")
-        ainfo = artifacts.info()
-        print(f"artifacts {ainfo.path}")
-        print(f"  compiled  {ainfo.entries}")
-        print(f"  size      {ainfo.total_bytes} bytes")
-        print(f"  schema    v{ainfo.schema_version}")
-        if ainfo.stale_tmp:
-            print(f"  swept     {ainfo.stale_tmp} stale tmp dir(s)")
-        pinfo = plans.info()
-        print(f"plans     {pinfo.path}")
-        print(f"  compiled  {pinfo.entries}")
-        print(f"  size      {pinfo.total_bytes} bytes")
-        print(f"  schema    v{pinfo.schema_version}")
-        if pinfo.quarantined:
-            print(f"  quarantined {pinfo.quarantined} corrupt/stale entr"
-                  f"{'y' if pinfo.quarantined == 1 else 'ies'}")
-        if pinfo.stale_tmp:
-            print(f"  swept     {pinfo.stale_tmp} stale tmp file(s)")
-    else:  # clear
-        removed = store.clear()
-        print(f"removed {removed} stored result(s) from {store.root}")
-        swept = artifacts.clear()
-        print(f"removed {swept} compiled artifact(s) from {artifacts.root}")
-        dropped = plans.clear()
-        print(f"removed {dropped} compiled plan(s) from {plans.root}")
+    for cache in (ResultStore(), ArtifactCache(), CompiledPlanCache()):
+        if args.action == "clear":
+            print(f"{cache.name:<9} removed {cache.clear()} entries from "
+                  f"{cache.root}")
+            continue
+        info = cache.info()
+        print(f"{cache.name:<9} {info.path}")
+        for label, value in (
+            ("entries", info.entries),
+            ("size", f"{info.total_bytes} bytes"),
+            ("schema", f"v{info.schema_version}"),
+            ("swept", f"{info.stale_tmp} stale tmp"),
+            ("quarantined", f"{info.quarantined} corrupt"),
+        ):
+            print(f"  {label:<9} {value}")
     return 0
 
 
@@ -573,7 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: $REPRO_CACHE_DIR or ~/.cache/repro)")
     serve.set_defaults(func=cmd_serve)
 
-    cache = sub.add_parser("cache", help="inspect or clear the result store")
+    cache = sub.add_parser(
+        "cache", help="inspect or clear the result store, artifact and "
+                      "compiled-plan caches")
     cache.add_argument("action", choices=("info", "clear"))
     cache.set_defaults(func=cmd_cache)
 

@@ -59,6 +59,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
+from repro.cache import DiskCache
 from repro.core.config import MachineConfig
 from repro.core.results import SCHEMA_VERSION, SimulationResult
 from repro.core.simulator import ColdPlanCache, ParrotSimulator, RunOptions
@@ -75,7 +76,6 @@ ENV_LENGTH = "REPRO_BENCH_LENGTH"
 ENV_JOBS = "REPRO_BENCH_JOBS"
 ENV_CACHE = "REPRO_BENCH_CACHE"
 ENV_TIMEOUT = "REPRO_BENCH_TIMEOUT"
-ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_SAMPLING = "REPRO_BENCH_SAMPLING"
 ENV_ARTIFACTS = "REPRO_BENCH_ARTIFACTS"
 ENV_BACKEND = "REPRO_BENCH_BACKEND"
@@ -301,29 +301,6 @@ def run_key(
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
-def default_store_root() -> Path:
-    """``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``."""
-    env = os.environ.get(ENV_CACHE_DIR, "").strip()
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro"
-
-
-@dataclass(frozen=True, slots=True)
-class StoreInfo:
-    """A snapshot of the result store's contents.
-
-    ``stale_tmp`` counts orphaned ``.tmp.<pid>`` files from crashed
-    writers that the snapshot swept away.
-    """
-
-    path: Path
-    entries: int
-    total_bytes: int
-    schema_version: int = SCHEMA_VERSION
-    stale_tmp: int = 0
-
-
 def _result_digest(payload: dict) -> str:
     """Canonical content digest of one stored record's result payload."""
     material = json.dumps(payload, sort_keys=True)
@@ -356,17 +333,13 @@ class MergeReport:
                 + self.quarantined)
 
 
-class ResultStore:
+class ResultStore(DiskCache):
     """Content-keyed persistent store of simulation results.
 
-    One JSON file per run, sharded by the first two hex digits of the key
-    (``<root>/<k[:2]>/<k>.json``).  Writes are atomic (temp file +
-    ``os.replace``), so a crashed or parallel writer can never leave a
-    half-written record; unreadable records are treated as misses.
-
-    Several processes may share one root (grid shards, the serve front
-    end, a concurrent ``cache clear``): every directory scan and unlink
-    tolerates entries deleted underneath it mid-walk.
+    One JSON record per run at ``<root>/<k[:2]>/<k>.json`` (default root
+    ``$REPRO_CACHE_DIR``), written, read, swept and listed through the
+    shared :class:`~repro.cache.DiskCache` contract: atomic writes, misses
+    on absent records, and undecodable records quarantined.
 
     ``lru`` > 0 adds an in-process LRU over deserialized results, so a
     repeated ``load`` of a warm key skips disk and JSON decode entirely
@@ -374,8 +347,12 @@ class ResultStore:
     they are additionally tallied in ``lru_hits``.
     """
 
+    name = "store"
+    suffix = ".json"
+    schema_version = SCHEMA_VERSION
+
     def __init__(self, root: str | Path | None = None, *, lru: int = 0):
-        self.root = Path(root) if root is not None else default_store_root()
+        super().__init__(root)
         self.hits = 0
         self.misses = 0
         self.writes = 0
@@ -384,8 +361,8 @@ class ResultStore:
         self._lru: OrderedDict[str, SimulationResult] = OrderedDict()
         self._lru_lock = threading.Lock()
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    def decode(self, path: Path) -> SimulationResult:
+        return SimulationResult.from_dict(json.loads(path.read_text())["result"])
 
     def _lru_get(self, key: str) -> SimulationResult | None:
         if not self._lru_limit:
@@ -412,10 +389,8 @@ class ResultStore:
             self.hits += 1
             self.lru_hits += 1
             return cached
-        try:
-            payload = json.loads(self._path(key).read_text())
-            result = SimulationResult.from_dict(payload["result"])
-        except (OSError, ValueError, KeyError, TypeError):
+        result = self.read(key)
+        if result is None:
             self.misses += 1
             return None
         self.hits += 1
@@ -434,111 +409,13 @@ class ResultStore:
         self.writes += 1
 
     def _write_record(self, key: str, record: dict) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(record, sort_keys=True))
-        os.replace(tmp, path)
-
-    def _scan(self, match: Callable[[str], bool]) -> list[Path]:
-        """Record paths whose filename satisfies ``match``.
-
-        Built on explicit ``os.scandir`` walks with per-directory
-        tolerance: a shard directory (or the root) deleted by a
-        concurrent ``clear()``/sweeper between listing and scanning is
-        skipped, where ``Path.glob`` would raise ``FileNotFoundError``
-        mid-iteration — a latent race once N shard processes share one
-        cache root.
-        """
-        try:
-            shards = sorted(
-                entry.path for entry in os.scandir(self.root)
-                if entry.is_dir(follow_symlinks=False)
-            )
-        except OSError:
-            return []
-        found: list[Path] = []
-        for shard in shards:
-            try:
-                entries = sorted(
-                    entry.path for entry in os.scandir(shard)
-                    if entry.is_file(follow_symlinks=False)
-                    and match(entry.name)
-                )
-            except OSError:
-                continue  # shard swept by a concurrent deleter mid-walk
-            found.extend(Path(path) for path in entries)
-        return found
-
-    def _records(self) -> list[Path]:
-        return self._scan(lambda name: name.endswith(".json"))
-
-    def keys(self) -> list[str]:
-        """Keys of every record currently on disk (sorted)."""
-        return [record.name[:-len(".json")] for record in self._records()]
-
-    def _sweep_stale_tmp(self) -> int:
-        """Remove ``.tmp.<pid>`` files orphaned by crashed writers.
-
-        A writer that dies between ``write_text`` and ``os.replace`` leaks
-        its temp file forever (no retry ever reuses the name, and ``clear``
-        would fail to ``rmdir`` the shard around it).  Returns the number
-        swept; a tmp file concurrently renamed or deleted mid-sweep is
-        skipped, so N processes may sweep one root at once.
-        """
-        swept = 0
-        for tmp in self._scan(lambda name: ".tmp." in name):
-            try:
-                tmp.unlink()
-                swept += 1
-            except OSError:
-                pass  # renamed into place or swept by a concurrent process
-        return swept
-
-    def info(self) -> StoreInfo:
-        """Entry count and on-disk footprint of the store.
-
-        Also sweeps stale writer temp files and reports how many it found.
-        """
-        stale = self._sweep_stale_tmp()
-        records = self._records()
-        total = 0
-        entries = 0
-        for record in records:
-            try:
-                total += record.stat().st_size
-            except OSError:
-                continue  # deleted since the scan: not an entry anymore
-            entries += 1
-        return StoreInfo(path=self.root, entries=entries,
-                         total_bytes=total, stale_tmp=stale)
+        text = json.dumps(record, sort_keys=True)
+        self.write(key, lambda tmp: tmp.write_text(text))
 
     def clear(self) -> int:
-        """Delete every stored record; returns the number removed.
-
-        Stale writer temp files are swept too (they are not counted — they
-        were never entries), so emptied shards always ``rmdir`` cleanly.
-        Safe to race against concurrent writers and other clearers: an
-        entry deleted underneath us is simply not counted.
-        """
-        self._sweep_stale_tmp()
-        removed = 0
-        for record in self._records():
-            try:
-                record.unlink()
-                removed += 1
-            except OSError:
-                pass
-        try:
-            shards = [entry.path for entry in os.scandir(self.root)
-                      if entry.is_dir(follow_symlinks=False)]
-        except OSError:
-            shards = []
-        for shard in shards:
-            try:
-                os.rmdir(shard)
-            except OSError:
-                pass
+        """Delete every stored record and empty the LRU; returns the
+        number of records removed."""
+        removed = super().clear()
         with self._lru_lock:
             self._lru.clear()
         return removed
@@ -563,45 +440,39 @@ class ResultStore:
         Source records that fail to parse, decode to no result, or carry
         an embedded key contradicting their filename are quarantined:
         counted in :attr:`MergeReport.quarantined` and (with
-        ``quarantine=True``) deleted from the source best-effort so the
-        next merge pass does not trip over them again.
+        ``quarantine=True``) deleted from the source so the next merge
+        pass does not trip over them again.
         """
         src = source if isinstance(source, ResultStore) else ResultStore(source)
         report = MergeReport(source=src.root)
-        for record_path in src._records():
-            key = record_path.name[:-len(".json")]
-            try:
-                record = json.loads(record_path.read_text())
-                payload = record["result"]
-                if record.get("key") != key:
-                    raise ValueError(
-                        f"embedded key {record.get('key')!r} contradicts "
-                        f"filename {key!r}"
-                    )
-                SimulationResult.from_dict(payload)  # validate schema
-            except FileNotFoundError:
-                continue  # deleted by a concurrent merger: nothing to do
-            except (OSError, ValueError, KeyError, TypeError):
-                report.quarantined += 1
-                if quarantine:
-                    try:
-                        record_path.unlink()
-                    except OSError:
-                        pass
+        before = src.quarantined
+        for key in src.keys():
+            record = src.read(key, _decode_record, quarantine=quarantine)
+            if record is None:
                 continue
-            mine = self._path(key)
-            try:
-                existing = json.loads(mine.read_text())["result"]
-            except (OSError, ValueError, KeyError):
-                existing = None
+            existing = self.read(key, _decode_record)
             if existing is None:
                 self._write_record(key, record)
                 report.copied += 1
-            elif _result_digest(existing) == _result_digest(payload):
+            elif (_result_digest(existing["result"])
+                  == _result_digest(record["result"])):
                 report.identical += 1
             else:
                 report.conflicts.append(key)
+        report.quarantined = src.quarantined - before
         return report
+
+
+def _decode_record(path: Path) -> dict:
+    """A whole stored record, checked against its filename and schema."""
+    record = json.loads(path.read_text())
+    key = path.name[:-len(ResultStore.suffix)]
+    if record.get("key") != key:
+        raise ValueError(
+            f"embedded key {record.get('key')!r} contradicts filename {key!r}"
+        )
+    SimulationResult.from_dict(record["result"])
+    return record
 
 
 # -- the process-pool engine --------------------------------------------------

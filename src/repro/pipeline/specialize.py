@@ -23,7 +23,7 @@ into a dedicated Python function instead:
   preserves the exact scalar probe order;
 * **content-keyed caching** — generated sources are loaded through a
   memory LRU keyed by ``sha256(SCHEMA_VERSION + source)`` plus an
-  optional on-disk cache of marshalled code objects under
+  on-disk cache of marshalled code objects under
   ``$REPRO_CACHE_DIR/compiled`` (invalidated by ``SCHEMA_VERSION`` and
   the interpreter's bytecode magic; corrupt or stale entries are
   quarantined).  Cold generated sources bake nothing machine-specific
@@ -40,13 +40,12 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import marshal
-import os
 import struct
 import types
 from collections import OrderedDict
-from dataclasses import dataclass
 from pathlib import Path
 
+from repro.cache import DiskCache
 from repro.isa.opcodes import FuClass
 from repro.isa.registers import NUM_ARCH_REGS, REG_NONE
 from repro.pipeline.core import (
@@ -67,11 +66,9 @@ def _schema_version() -> int:
 
 
 # --------------------------------------------------------------------------
-# Content-keyed loader: memory LRU + optional on-disk code-object cache.
+# Content-keyed loader: memory LRU + on-disk code-object cache.
 # --------------------------------------------------------------------------
 
-_ENV_CACHE_DIR = "REPRO_CACHE_DIR"
-_ENV_DISK_CACHE = "REPRO_COMPILED_CACHE"
 _FILE_PREFIX = b"RPSC"
 _MEMORY_LIMIT = 512
 
@@ -101,174 +98,50 @@ _PLAN_MEMO: OrderedDict[tuple, tuple] = OrderedDict()
 _EXEC_GLOBALS = {f"FU_{int(fu)}": fu for fu in FuClass}
 
 
-def default_compiled_root() -> Path:
-    """Root of the compiled-plan disk cache (honours $REPRO_CACHE_DIR)."""
-    root = os.environ.get(_ENV_CACHE_DIR)
-    base = Path(root).expanduser() if root else Path.home() / ".cache" / "repro"
-    return base / "compiled"
-
-
-def disk_cache_enabled() -> bool:
-    """The on-disk layer is optional: ``REPRO_COMPILED_CACHE=0`` disables."""
-    return os.environ.get(_ENV_DISK_CACHE, "1") != "0"
-
-
 def _header() -> bytes:
     return (_FILE_PREFIX + importlib.util.MAGIC_NUMBER
             + struct.pack("<I", _schema_version()))
 
 
-@dataclass(frozen=True, slots=True)
-class CompiledCacheInfo:
-    """Summary of the on-disk compiled-plan cache (`repro cache info`)."""
-
-    path: str
-    entries: int
-    total_bytes: int
-    schema_version: int
-    stale_tmp: int
-    quarantined: int
-
-
-class CompiledPlanCache:
+class CompiledPlanCache(DiskCache):
     """On-disk cache of marshalled replay code objects.
 
-    Mirrors the artifact cache's layout and hygiene: content-keyed
-    entries sharded two levels deep, atomic ``.tmp.<pid>`` + rename
-    writes, and corrupt or stale records quarantined (deleted and
-    counted) rather than served.  An entry is stale when its header does
-    not match this interpreter's bytecode magic and the current
-    ``SCHEMA_VERSION`` — either invalidates every generated source.
+    One ``<root>/<key[:2]>/<key>.rpc`` file per generated source (default
+    root ``$REPRO_CACHE_DIR/compiled``) under the shared
+    :class:`~repro.cache.DiskCache` contract.  An entry is stale — and
+    quarantined like a corrupt one — when its header does not match this
+    interpreter's bytecode magic and the current ``SCHEMA_VERSION``;
+    either invalidates every generated source.  Writes are best effort.
     """
 
-    def __init__(self, root: str | os.PathLike | None = None) -> None:
-        self.root = Path(root) if root is not None else default_compiled_root()
-        self.hits = 0
-        self.compiles = 0
-        self.quarantined = 0
+    name = "plans"
+    subdir = "compiled"
+    suffix = ".rpc"
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.rpc"
+    @property
+    def schema_version(self) -> int:
+        return _schema_version()
 
-    def load(self, key: str):
-        """Return the cached code object for ``key``, or None on miss.
-
-        Corrupt and stale entries are quarantined on the way out.
-        """
-        path = self._path(key)
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            return None
+    def decode(self, path: Path):
+        blob = path.read_bytes()
         header = _header()
         if not blob.startswith(header):
-            self._quarantine(path)
-            return None
-        try:
-            code = marshal.loads(blob[len(header):])
-        except (ValueError, EOFError, TypeError):
-            self._quarantine(path)
-            return None
+            raise ValueError(f"{path}: stale or foreign header")
+        code = marshal.loads(blob[len(header):])
         if not isinstance(code, types.CodeType):
             # marshal is not self-validating: a truncated or flipped body
             # can decode "successfully" into an arbitrary object, which
             # would blow up in exec() far from the cause.
-            self._quarantine(path)
-            return None
-        self.hits += 1
+            raise ValueError(f"{path}: body is not a code object")
         return code
 
     def store(self, key: str, code) -> None:
-        """Atomically persist a compiled code object (best effort)."""
-        path = self._path(key)
+        """Persist a compiled code object; a failed write is ignored."""
+        blob = _header() + marshal.dumps(code)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-            tmp.write_bytes(_header() + marshal.dumps(code))
-            os.replace(tmp, path)
-            self.compiles += 1
+            self.write(key, lambda tmp: tmp.write_bytes(blob))
         except OSError:
             pass
-
-    def _quarantine(self, path: Path) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        self.quarantined += 1
-
-    def _entries(self) -> list[Path]:
-        return [p for p in self.root.glob("*/*.rpc") if p.is_file()]
-
-    def _sweep_stale_tmp(self) -> int:
-        removed = 0
-        for path in self.root.glob("*/*.rpc.tmp.*"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    @staticmethod
-    def _body_ok(body: bytes) -> bool:
-        """True when the marshalled body really is a code object."""
-        try:
-            return isinstance(marshal.loads(body), types.CodeType)
-        except (ValueError, EOFError, TypeError):
-            return False
-
-    def info(self) -> CompiledCacheInfo:
-        """Enumerate the cache, quarantining corrupt/stale entries.
-
-        Each shard is counted exactly once: either as a healthy entry
-        (contributing its size to ``total_bytes``) or as quarantined.
-        Body validation matches :meth:`load`, so an entry ``info``
-        reports as healthy cannot later fail to load — previously a
-        header-valid shard with a corrupt body was counted (and sized)
-        as healthy here *and* quarantined on the next load.
-        """
-        header = _header()
-        kept = 0
-        total = 0
-        quarantined = 0
-        for path in self._entries():
-            try:
-                blob = path.read_bytes()
-            except OSError:
-                continue
-            if not blob.startswith(header) or not self._body_ok(blob[len(header):]):
-                self._quarantine(path)
-                quarantined += 1
-                continue
-            kept += 1
-            total += len(blob)
-        stale_tmp = self._sweep_stale_tmp()
-        return CompiledCacheInfo(
-            path=str(self.root),
-            entries=kept,
-            total_bytes=total,
-            schema_version=_schema_version(),
-            stale_tmp=stale_tmp,
-            quarantined=quarantined,
-        )
-
-    def clear(self) -> int:
-        """Remove every entry (and swept tmp files); returns the count."""
-        removed = 0
-        for path in self._entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        self._sweep_stale_tmp()
-        for shard in self.root.glob("*"):
-            try:
-                shard.rmdir()
-            except OSError:
-                pass
-        return removed
 
 
 def source_key(source: str) -> str:
@@ -280,8 +153,8 @@ def source_key(source: str) -> str:
 def load_replay(source: str):
     """Materialize a generated replay function, through the cache stack.
 
-    Memory LRU first, then the optional disk cache of marshalled code
-    objects, then ``compile()``.  The pseudo-filename
+    Memory LRU first, then the disk cache of marshalled code objects,
+    then ``compile()``.  The pseudo-filename
     ``<repro-compiled:HASH>`` is stable across processes (it is derived
     from the content key), so profiler attribution and disk-cached code
     objects agree.
@@ -292,15 +165,14 @@ def load_replay(source: str):
         _MEMORY.move_to_end(key)
         LOADER_STATS["memory_hits"] += 1
         return fn
-    disk = CompiledPlanCache() if disk_cache_enabled() else None
-    code = disk.load(key) if disk is not None else None
+    disk = CompiledPlanCache()
+    code = disk.read(key)
     if code is not None:
         LOADER_STATS["disk_hits"] += 1
     else:
         code = compile(source, f"<repro-compiled:{key[:16]}>", "exec")
         LOADER_STATS["compiles"] += 1
-        if disk is not None:
-            disk.store(key, code)
+        disk.store(key, code)
     namespace = dict(_EXEC_GLOBALS)
     exec(code, namespace)
     fn = namespace["replay"]

@@ -39,13 +39,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pathlib
 import shutil
-from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cache import DiskCache
 from repro.errors import WorkloadError
 from repro.isa.instruction import DynamicInstruction, MacroInstruction, Uop
 from repro.isa.opcodes import (
@@ -279,16 +278,6 @@ _DYN_DTYPE = np.dtype([
 
 #: Instructions pulled per bulk step while compiling an artifact.
 _COMPILE_BATCH = 4096
-
-_ENV_CACHE_DIR = "REPRO_CACHE_DIR"
-
-
-def default_artifact_root() -> pathlib.Path:
-    """The artifact cache directory: ``<result-store root>/artifacts``."""
-    env = os.environ.get(_ENV_CACHE_DIR, "").strip()
-    base = pathlib.Path(env) if env else pathlib.Path.home() / ".cache" / "repro"
-    return base / "artifacts"
-
 
 def artifact_key(app_name: str, seed: int, length: int) -> str:
     """Content key of one compiled stream in the artifact cache.
@@ -786,15 +775,15 @@ def compile_artifact(
     ``app`` is an :class:`~repro.workloads.suite.Application` (or anything
     with ``name``/``suite``/``build()``); ``seed`` is its generator seed —
     part of the content key, so a seed change keys to a fresh artifact.
-    The write is atomic (temp directory + ``os.replace``), and a
-    concurrent compiler racing on the same key simply loses the rename and
-    loads the winner's bytes.  Returns the loaded artifact.
+    The write is atomic (:meth:`ArtifactCache.write`), and a concurrent
+    compiler racing on the same key simply loses the rename and loads the
+    winner's bytes.  Returns the loaded artifact.
     """
-    root = pathlib.Path(root) if root is not None else default_artifact_root()
+    cache = ArtifactCache(root)
     key = artifact_key(app.name, seed, length)
-    final = root / key[:2] / key
-    if (final / "meta.json").exists():
-        return TraceArtifact.load(final)
+    cached = cache.read(key)
+    if cached is not None:
+        return cached
 
     workload = app.build()
     program = workload.program
@@ -826,11 +815,9 @@ def compile_artifact(
             f"{length} instructions"
         )
 
-    final.parent.mkdir(parents=True, exist_ok=True)
-    tmp = final.with_name(f"{key}.tmp.{os.getpid()}")
-    shutil.rmtree(tmp, ignore_errors=True)
-    tmp.mkdir()
-    try:
+    def fill(tmp: pathlib.Path) -> None:
+        shutil.rmtree(tmp, ignore_errors=True)  # a dead namesake's leftover
+        tmp.mkdir()
         np.savez_compressed(
             tmp / "static.npz",
             **_static_arrays(statics),
@@ -859,56 +846,38 @@ def compile_artifact(
             },
             sort_keys=True,
         ))
-        os.replace(tmp, final)
-    except OSError:
-        shutil.rmtree(tmp, ignore_errors=True)
-        if not (final / "meta.json").exists():
-            raise
-    return TraceArtifact.load(final)
+
+    cache.write(key, fill)
+    return TraceArtifact.load(cache.path(key))
 
 
-@dataclass(frozen=True, slots=True)
-class ArtifactInfo:
-    """A snapshot of the artifact cache's contents.
-
-    ``stale_tmp`` counts orphaned ``.tmp.<pid>`` directories from crashed
-    compilers that the snapshot swept away.
-    """
-
-    path: pathlib.Path
-    entries: int
-    total_bytes: int
-    schema_version: int = ARTIFACT_SCHEMA_VERSION
-    stale_tmp: int = 0
-
-
-class ArtifactCache:
+class ArtifactCache(DiskCache):
     """Content-keyed persistent cache of compiled trace artifacts.
 
-    One directory per (app, seed, length) stream, sharded like the result
-    store (``<root>/<key[:2]>/<key>/``).  ``hits`` counts artifacts served
-    from disk, ``compiles`` counts fresh stream walks.
+    One directory per (app, seed, length) stream at
+    ``<root>/<key[:2]>/<key>/`` (default root ``$REPRO_CACHE_DIR/artifacts``),
+    under the shared :class:`~repro.cache.DiskCache` contract.  ``hits``
+    counts artifacts served from disk, ``compiles`` counts fresh stream
+    walks.
     """
 
+    name = "artifacts"
+    subdir = "artifacts"
+    schema_version = ARTIFACT_SCHEMA_VERSION
+
     def __init__(self, root: str | pathlib.Path | None = None):
-        self.root = (
-            pathlib.Path(root) if root is not None else default_artifact_root()
-        )
+        super().__init__(root)
         self.hits = 0
         self.compiles = 0
 
-    def _dir(self, key: str) -> pathlib.Path:
-        return self.root / key[:2] / key
+    def decode(self, path: pathlib.Path) -> TraceArtifact:
+        return TraceArtifact.load(path)
 
     def load(self, app_name: str, seed: int, length: int) -> TraceArtifact | None:
         """The cached artifact for one stream, or ``None`` on any miss."""
-        try:
-            artifact = TraceArtifact.load(
-                self._dir(artifact_key(app_name, seed, length))
-            )
-        except (OSError, ValueError, KeyError, WorkloadError):
-            return None
-        self.hits += 1
+        artifact = self.read(artifact_key(app_name, seed, length))
+        if artifact is not None:
+            self.hits += 1
         return artifact
 
     def get_or_compile(self, app, length: int) -> TraceArtifact:
@@ -919,52 +888,3 @@ class ArtifactCache:
         artifact = compile_artifact(app, app.seed, length, root=self.root)
         self.compiles += 1
         return artifact
-
-    def _entries(self) -> list[pathlib.Path]:
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            path for path in self.root.glob("*/*")
-            if (path / "meta.json").is_file()
-        )
-
-    def _sweep_stale_tmp(self) -> int:
-        """Remove ``.tmp.<pid>`` directories orphaned by crashed compilers."""
-        swept = 0
-        if not self.root.is_dir():
-            return swept
-        for tmp in self.root.glob("*/*.tmp.*"):
-            shutil.rmtree(tmp, ignore_errors=True)
-            if not tmp.exists():
-                swept += 1
-        return swept
-
-    def info(self) -> ArtifactInfo:
-        """Artifact count and on-disk footprint; sweeps stale temp dirs."""
-        stale = self._sweep_stale_tmp()
-        entries = self._entries()
-        total = 0
-        for entry in entries:
-            for part in entry.iterdir():
-                try:
-                    total += part.stat().st_size
-                except OSError:
-                    pass
-        return ArtifactInfo(path=self.root, entries=len(entries),
-                            total_bytes=total, stale_tmp=stale)
-
-    def clear(self) -> int:
-        """Delete every cached artifact; returns the number removed."""
-        self._sweep_stale_tmp()
-        removed = 0
-        for entry in self._entries():
-            shutil.rmtree(entry, ignore_errors=True)
-            if not entry.exists():
-                removed += 1
-        for shard in self.root.glob("*") if self.root.is_dir() else ():
-            if shard.is_dir():
-                try:
-                    shard.rmdir()
-                except OSError:
-                    pass
-        return removed

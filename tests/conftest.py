@@ -8,6 +8,8 @@ sweeps.
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -45,6 +47,18 @@ def _isolated_experiment_state(tmp_path, monkeypatch):
     cli.reset_runners()
     yield
     cli.reset_runners()
+
+
+@pytest.fixture()
+def dead_pid() -> int:
+    """The pid of a child process that has exited and been reaped.
+
+    A literal pid could name a live process; a reaped child's pid is free
+    until the kernel wraps around to it.
+    """
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait(timeout=60)
+    return child.pid
 
 
 @pytest.fixture(scope="session")

@@ -5,12 +5,12 @@ stream replayed from a compiled artifact must be indistinguishable — per
 dynamic record and per simulation result — from the stream walked out of
 the generator, in every regime (full detail, shared segment lists,
 sampled).  Everything else here is plumbing: content keying, cache
-hit/miss/compile accounting, stale-tmp sweeping, and the engine-level
-counters that surface it all.
+hit/miss/compile accounting, recovery from a damaged artifact, and the
+engine-level counters that surface it all (the cache contract every
+on-disk cache shares lives in ``tests/test_cache.py``).
 """
 
 import json
-import shutil
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,7 +30,6 @@ from repro.workloads.tracefile import (
     TraceArtifact,
     artifact_key,
     compile_artifact,
-    default_artifact_root,
 )
 
 LENGTH = 1500
@@ -127,7 +126,7 @@ class TestArtifactKey:
 
     def test_default_root_honours_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
-        assert default_artifact_root() == tmp_path / "elsewhere" / "artifacts"
+        assert ArtifactCache().root == tmp_path / "elsewhere" / "artifacts"
 
 
 class TestArtifactCache:
@@ -149,13 +148,17 @@ class TestArtifactCache:
     def test_corrupt_artifact_recompiles(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         app = application("gzip")
-        artifact = cache.get_or_compile(app, LENGTH)
-        (artifact.path / "dyn.npy").write_bytes(b"not numpy")
-        assert cache.load(app.name, app.seed, LENGTH) is None
-        shutil.rmtree(artifact.path)
+        dyn = cache.get_or_compile(app, LENGTH).path / "dyn.npy"
+        truncated = dyn.read_bytes()[: dyn.stat().st_size // 2]
+        dyn.write_bytes(truncated)
         fresh = cache.get_or_compile(app, LENGTH)
         assert cache.compiles == 2
-        assert len(fresh) == LENGTH
+        assert _rows(fresh.stream().take_batch(LENGTH)) == \
+            _rows(app.build().stream(LENGTH).take_batch(LENGTH))
+        del fresh  # its record is mapped from the file truncated next
+        dyn.write_bytes(truncated)
+        info = cache.info()
+        assert (info.entries, info.quarantined) == (0, 1)
 
     def test_schema_bump_is_a_miss(self, tmp_path):
         cache = ArtifactCache(tmp_path)
@@ -179,17 +182,6 @@ class TestArtifactCache:
         assert info.schema_version == ARTIFACT_SCHEMA_VERSION
         assert cache.clear() == 2
         assert cache.info().entries == 0
-
-    def test_info_sweeps_stale_tmp_dirs(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.get_or_compile(application("gzip"), LENGTH)
-        orphan = tmp_path / "ab" / ("ab" + "0" * 62 + ".tmp.123")
-        orphan.mkdir(parents=True)
-        (orphan / "dyn.npy").write_bytes(b"half-written")
-        info = cache.info()
-        assert info.stale_tmp == 1 and info.entries == 1
-        assert not orphan.exists()
-        assert cache.info().stale_tmp == 0
 
     def test_racing_compile_is_idempotent(self, tmp_path):
         app = application("gzip")

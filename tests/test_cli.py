@@ -133,11 +133,32 @@ class TestCommands:
         assert runner.simulations_run == runs  # memo served everything
 
 
+def _cache_info(capsys) -> dict[str, dict[str, str]]:
+    """``repro cache info`` parsed into {cache: {field: value}}.
+
+    Each cache prints a ``<name> <path>`` header and indented fields;
+    ``entries   N`` is printed verbatim (CI greps it).
+    """
+    assert main(["cache", "info"]) == 0
+    blocks: dict[str, dict[str, str]] = {}
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("  "):
+            label, value = line.split(None, 1)
+            assert line == f"  {label:<9} {value}"
+            fields[label] = value
+        else:
+            name, path = line.split(None, 1)
+            fields = blocks[name] = {"path": path}
+    assert list(blocks) == ["store", "artifacts", "plans"]
+    return blocks
+
+
 class TestResultStoreCli:
     def test_cache_info_empty(self, capsys):
-        assert main(["cache", "info"]) == 0
-        out = capsys.readouterr().out
-        assert "entries   0" in out and "repro-cache" in out
+        info = _cache_info(capsys)
+        assert info["store"]["entries"] == "0"
+        assert "repro-cache" in info["store"]["path"]
+        assert all(block["entries"] == "0" for block in info.values())
 
     def test_sweep_populates_store_then_serves_from_it(self, capsys):
         argv = ["sweep", "--models", "N,TN", "--apps", "2",
@@ -152,27 +173,31 @@ class TestResultStoreCli:
         assert "0 simulated, 4 from store" in second.err
         assert second.out == first.out  # byte-identical table
 
-        assert main(["cache", "info"]) == 0
-        assert "entries   4" in capsys.readouterr().out
+        assert _cache_info(capsys)["store"]["entries"] == "4"
 
     def test_no_cache_bypasses_store(self, capsys):
         argv = ["sweep", "--models", "N", "--apps", "2", "--length", "1200",
                 "--no-cache"]
         assert main(argv) == 0
         capsys.readouterr()
-        assert main(["cache", "info"]) == 0
-        assert "entries   0" in capsys.readouterr().out
+        info = _cache_info(capsys)
+        assert info["store"]["entries"] == "0"
+        assert info["artifacts"]["entries"] == "2"  # artifacts still cached
 
     def test_cache_clear(self, capsys):
         assert main(["sweep", "--models", "N", "--apps", "2",
                      "--length", "1200"]) == 0
         capsys.readouterr()
         assert main(["cache", "clear"]) == 0
-        assert "removed 2" in capsys.readouterr().out
-        assert main(["cache", "info"]) == 0
-        assert "entries   0" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "store     removed 2 entries" in out
+        assert "artifacts removed 2 entries" in out
+        info = _cache_info(capsys)
+        assert all(block["entries"] == "0" for block in info.values())
 
-    def test_cache_info_counts_corrupt_shard_and_orphan_tmp_once(self, capsys):
+    def test_cache_info_counts_corrupt_shard_and_orphan_tmp_once(
+        self, capsys, dead_pid
+    ):
         """A corrupt-body compiled-plan shard is quarantined and counted
         exactly once, an orphaned writer tmp file is swept and counted
         exactly once, and the plans size covers only healthy shards.
@@ -186,28 +211,27 @@ class TestResultStoreCli:
                        "<test>", "exec")
         key_ok = "ab" + "0" * 62
         cache.store(key_ok, code)
-        healthy_size = cache._path(key_ok).stat().st_size
+        healthy_size = cache.path(key_ok).stat().st_size
 
         # Valid header, body that decodes to a float instead of raising.
-        bad_path = cache._path("cd" + "0" * 62)
+        bad_path = cache.path("cd" + "0" * 62)
         bad_path.parent.mkdir(parents=True, exist_ok=True)
         bad_path.write_bytes(_header() + marshal.dumps(2.5))
-        orphan = bad_path.with_name(bad_path.name + ".tmp.12345")
+        orphan = bad_path.with_name(f"{bad_path.name}.tmp.{dead_pid}")
         orphan.write_bytes(b"partial write")
 
-        assert main(["cache", "info"]) == 0
-        out = capsys.readouterr().out
-        assert "  compiled  1" in out
-        assert f"  size      {healthy_size} bytes" in out
-        assert "  quarantined 1 corrupt/stale entry" in out
-        assert "  swept     1 stale tmp file(s)" in out
+        plans = _cache_info(capsys)["plans"]
+        assert plans["entries"] == "1"
+        assert plans["size"] == f"{healthy_size} bytes"
+        assert plans["quarantined"] == "1 corrupt"
+        assert plans["swept"] == "1 stale tmp"
         assert not bad_path.exists() and not orphan.exists()
 
         # Both were handled (and reported) once: a rerun starts clean.
-        assert main(["cache", "info"]) == 0
-        out = capsys.readouterr().out
-        assert "  compiled  1" in out
-        assert "quarantined" not in out
+        plans = _cache_info(capsys)["plans"]
+        assert plans["entries"] == "1"
+        assert plans["quarantined"] == "0 corrupt"
+        assert plans["swept"] == "0 stale tmp"
 
 
 class TestShardParser:

@@ -220,10 +220,7 @@ def _populate(root, template, indices) -> ResultStore:
 
 
 def _contents(store: ResultStore) -> dict[str, str]:
-    return {
-        path.name[: -len(".json")]: path.read_text()
-        for path in store._records()
-    }
+    return {key: store.path(key).read_text() for key in store.keys()}
 
 
 subsets = st.sets(
@@ -281,11 +278,11 @@ class TestMergeExamples:
     ):
         src = ResultStore(tmp_path / "src")
         src.store(UNIVERSE_KEYS[0], _variant(swim_result_ton, 0))
-        garbled = src._path(UNIVERSE_KEYS[1])
+        garbled = src.path(UNIVERSE_KEYS[1])
         garbled.parent.mkdir(parents=True, exist_ok=True)
         garbled.write_text("{not json")
-        lying = src._path(UNIVERSE_KEYS[2])
-        record = json.loads(src._path(UNIVERSE_KEYS[0]).read_text())
+        lying = src.path(UNIVERSE_KEYS[2])
+        record = json.loads(src.path(UNIVERSE_KEYS[0]).read_text())
         lying.parent.mkdir(parents=True, exist_ok=True)
         lying.write_text(json.dumps(record))  # embedded key != filename
         dest = ResultStore(tmp_path / "dest")
@@ -296,7 +293,7 @@ class TestMergeExamples:
 
     def test_keep_corrupt_records_when_asked(self, tmp_path):
         src = ResultStore(tmp_path / "src")
-        garbled = src._path(UNIVERSE_KEYS[1])
+        garbled = src.path(UNIVERSE_KEYS[1])
         garbled.parent.mkdir(parents=True, exist_ok=True)
         garbled.write_text("{not json")
         report = ResultStore(tmp_path / "dest").merge_from(

@@ -6,7 +6,7 @@ agreement with the scalar reference, pinned here against the goldens,
 across machine models, across the sampled/adaptive regimes and over the
 shared artifact stack.  On top of the parity gates this file covers the
 backend's own machinery — the compile-time dependency links, the
-content-keyed loader stack (memory LRU, disk cache, quarantine), the
+content-keyed loader stack (memory LRU, disk cache), the
 whole-plan memo, the shared :class:`ColdPlanCache` contract, profiler
 phase attribution for generated frames, and a Hypothesis property test
 that a generated hot replay equals the scalar hot-plan executor on
@@ -16,7 +16,6 @@ random segments and dirty entry states.
 from __future__ import annotations
 
 import json
-import marshal
 import pathlib
 
 import pytest
@@ -192,7 +191,7 @@ class TestColdPlanCache:
 
 
 # --------------------------------------------------------------------------
-# Loader stack: memory LRU, whole-plan memo, disk cache, quarantine.
+# Loader stack: memory LRU, whole-plan memo, disk cache.
 # --------------------------------------------------------------------------
 
 def _nop_source(tag: int) -> str:
@@ -202,7 +201,7 @@ def _nop_source(tag: int) -> str:
 class TestLoaderStack:
 
     def test_memory_lru_eviction_order(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_COMPILED_CACHE", "0")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(sp, "_MEMORY_LIMIT", 2)
         sp._MEMORY.clear()
         fn0 = sp.load_replay(_nop_source(0))
@@ -218,7 +217,6 @@ class TestLoaderStack:
 
     def test_disk_cache_round_trip(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_COMPILED_CACHE", raising=False)
         sp._MEMORY.clear()
         before = dict(sp.LOADER_STATS)
         source = _nop_source(7)
@@ -234,63 +232,6 @@ class TestLoaderStack:
         core = Core()
         fn(core, [])
         assert core.extra == 7
-
-    def test_disk_cache_quarantines_corrupt_and_stale(self, tmp_path):
-        cache = sp.CompiledPlanCache(root=tmp_path)
-        code = compile(_nop_source(1), "<test>", "exec")
-        key_ok = "ab" + "0" * 62
-        cache.store(key_ok, code)
-        assert cache.load(key_ok) is not None
-
-        key_corrupt = "cd" + "0" * 62
-        cache.store(key_corrupt, code)
-        path = cache._path(key_corrupt)
-        path.write_bytes(path.read_bytes()[:-4] + b"!!!!")
-        assert cache.load(key_corrupt) is None
-        assert not path.exists(), "corrupt entry must be quarantined"
-
-        key_stale = "ef" + "0" * 62
-        cache.store(key_stale, code)
-        path = cache._path(key_stale)
-        blob = path.read_bytes()
-        path.write_bytes(b"XXXX" + blob[4:])  # wrong prefix == stale header
-        info = cache.info()
-        assert info.quarantined == 1
-        assert info.entries == 1  # only the healthy entry survives
-        assert cache.quarantined == 2  # one from load(), one from info()
-        assert cache.clear() == 1
-        assert cache.info().entries == 0
-
-    def test_corrupt_body_decoding_to_non_code_is_quarantined(self, tmp_path):
-        """marshal is not self-validating: a damaged body can decode into
-        an arbitrary object instead of raising.  Both load() and info()
-        must treat such a shard as corrupt — previously info() counted it
-        (and its size) as healthy while load() handed the junk to exec().
-        """
-        cache = sp.CompiledPlanCache(root=tmp_path)
-        code = compile(_nop_source(1), "<test>", "exec")
-        key_ok = "ab" + "0" * 62
-        cache.store(key_ok, code)
-        healthy_size = cache._path(key_ok).stat().st_size
-
-        key_bad = "cd" + "0" * 62
-        cache.store(key_bad, code)
-        bad_path = cache._path(key_bad)
-        bad_path.write_bytes(sp._header() + marshal.dumps(2.5))
-
-        info = cache.info()
-        assert info.entries == 1
-        assert info.total_bytes == healthy_size
-        assert info.quarantined == 1
-        assert not bad_path.exists()
-        # Counted exactly once: the next enumeration starts clean.
-        again = cache.info()
-        assert again.quarantined == 0 and again.entries == 1
-
-        cache.store(key_bad, code)
-        bad_path.write_bytes(sp._header() + marshal.dumps((1, "not code")))
-        assert cache.load(key_bad) is None
-        assert not bad_path.exists(), "load() must quarantine junk bodies"
 
     def test_plan_memo_eviction_order(self, monkeypatch):
         monkeypatch.setattr(sp, "_PLAN_MEMO_LIMIT", 2)
