@@ -141,10 +141,10 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend", default=None,
         choices=[b.value for b in ExecutionBackend],
-        help="batch executor for planned segments: scalar is the "
-             "reference; compiled (per-plan generated code) is "
-             "bit-identical and pays off once its plans are warm "
-             "(default: REPRO_BENCH_BACKEND or scalar)",
+        help="hot-trace executor: scalar is the reference; compiled "
+             "replays each hot trace through generated code and is "
+             "bit-identical; cold code runs on the scalar executor "
+             "under both (default: REPRO_BENCH_BACKEND or scalar)",
     )
 
 

@@ -52,12 +52,7 @@ from repro.frontend.fetch import FetchParams, plan_cold_groups, trace_fetch_cycl
 from repro.frontend.trace_predictor import TracePredictor
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.columnar import ExecutionBackend
-from repro.pipeline.specialize import (
-    compile_cold_specialized,
-    compile_hot_specialized,
-    run_cold_compiled,
-    run_hot_compiled,
-)
+from repro.pipeline.specialize import compile_hot_specialized, run_hot_compiled
 from repro.pipeline.core import TimingCore, compile_plan_stats, compile_uop_row
 from repro.pipeline.segment_batch import compile_hot_training, run_hot_training
 from repro.pipeline.resources import ExecProfile
@@ -214,10 +209,11 @@ class RunOptions:
     * ``prewarm`` — start the memory hierarchy in steady state (the
       paper's 30-100M-instruction traces amortise compulsory misses; our
       much shorter runs must not be dominated by them);
-    * ``backend`` — which batch executor evaluates planned segments (see
+    * ``backend`` — which executor replays hot traces (see
       :class:`~repro.pipeline.columnar.ExecutionBackend`): ``SCALAR``, the
-      default, is the reference; ``COMPILED`` is bit-identical and pays
-      off once its plans are warm;
+      default, is the reference; ``COMPILED`` replays each hot trace
+      through generated code and is bit-identical.  Cold segments replay
+      on the scalar cold plan under both;
     * ``segments`` — a precomputed segment partition of an artifact's
       stream (full-detail artifact runs only): segmentation is a pure
       function of the committed stream, so one partition is shared across
@@ -242,30 +238,31 @@ class ColdPlanCache:
     Cold fetch-group plans are pure functions of (segment instruction
     path, fetch parameters), and complete segments are keyed by TID — so
     models with equal :class:`~repro.frontend.fetch.FetchParams` replaying
-    the *same* segment list can share compiled plans — but TID aliasing
-    between applications could silently serve a stale plan.
+    the *same* segment list can share plans — but TID aliasing between
+    applications could silently serve a stale plan.
 
     This class enforces that contract.  The cache holds a strong
     reference to the segment list it was built over (list identity is the
     fingerprint — segment lists are never copied on the sharing paths),
     and :meth:`plans_for` refuses to serve plans for any other list.
-    Plans are further partitioned by (fetch parameters, backend), so one
-    cache instance can cover a whole model grid over one artifact.
+    Plans are further partitioned by fetch parameters, so one cache
+    instance can cover a whole model grid over one artifact.  Every
+    backend replays the same cold plan shape, so a grid that mixes
+    backends shares the plans too.
     """
 
     __slots__ = ("segments", "_plans")
 
     def __init__(self, segments: Sequence[TraceSegment]):
         self.segments = segments
-        self._plans: dict[tuple, dict[TraceId, tuple]] = {}
+        self._plans: dict[FetchParams, dict[TraceId, tuple]] = {}
 
     def plans_for(
         self,
         segments: Sequence[TraceSegment],
         fetch: FetchParams,
-        backend: ExecutionBackend,
     ) -> dict[TraceId, tuple]:
-        """The shared plan dict for one (segment list, fetch, backend).
+        """The shared plan dict for one (segment list, fetch parameters).
 
         Raises :class:`~repro.errors.SimulationError` if ``segments`` is
         not the very list this cache was built over — the cross-stream
@@ -277,7 +274,43 @@ class ColdPlanCache:
                 "TID aliasing across streams could serve a stale plan — "
                 "build one ColdPlanCache per segment list"
             )
-        return self._plans.setdefault((fetch, backend), {})
+        return self._plans.setdefault(fetch, {})
+
+
+def compile_cold_plan(instructions: list, params) -> tuple:
+    """Compile a segment's cold execution plan: groups of uop rows.
+
+    Returns ``(groups, n_uops, n_reads, n_writes, fu_counts, n_cti)``
+    — the groups plus the segment's static event totals (see
+    :func:`~repro.pipeline.core.compile_plan_stats`).  Each group is
+    ``(start_address, entries)``; each entry is ``(instr_index, rows,
+    is_cti)`` with one :func:`~repro.pipeline.core.compile_uop_row`
+    row per decoded uop.  Everything here is a static function of the
+    segment's instruction path, so complete segments cache the plan
+    per TID.
+    """
+    groups = []
+    all_rows = []
+    n_cti = 0
+    for start_idx, end_idx, start_address in plan_cold_groups(
+        instructions, params
+    ):
+        entries = []
+        for idx in range(start_idx, end_idx):
+            instr = instructions[idx].instr
+            rows = tuple(compile_uop_row(uop) for uop in instr.uops)
+            all_rows.extend(rows)
+            is_cti = instr.is_cti
+            if is_cti:
+                n_cti += 1
+            entries.append((idx, rows, is_cti))
+        groups.append((start_address, entries))
+    return (groups, *compile_plan_stats(all_rows), n_cti)
+
+
+# bench/tracing.py traces these names; they retire in ROADMAP item 1, step 1.
+compile_cold_specialized = compile_cold_plan
+run_cold_compiled = TimingCore.run_cold_plan
 
 
 #: What :meth:`ParrotSimulator.simulate` accepts as a source: an
@@ -447,7 +480,7 @@ class ParrotSimulator:
         """The machine's cold-plan dict under ``options`` (None = private).
 
         A :class:`ColdPlanCache` is validated against the segment list and
-        partitioned by (fetch parameters, backend).
+        partitioned by fetch parameters.
         """
         cold_plans = options.cold_plans
         if cold_plans is None:
@@ -462,9 +495,7 @@ class ParrotSimulator:
                 f"{label}: a shared ColdPlanCache needs the matching "
                 f"segments list in the same RunOptions"
             )
-        return cold_plans.plans_for(
-            segments, self.config.fetch, options.backend
-        )
+        return cold_plans.plans_for(segments, self.config.fetch)
 
     # -- machine assembly ------------------------------------------------------
 
@@ -497,8 +528,7 @@ class ParrotSimulator:
 
         ``cold_plans`` seeds the machine's cold-plan cache with a shared
         dict (see :meth:`simulate`); by default every machine gets a
-        private one.  ``backend`` selects the batch executor for planned
-        segments.
+        private one.  ``backend`` selects the hot-trace executor.
         """
         config = self.config
         events = EventCounts()
@@ -705,8 +735,7 @@ class ParrotSimulator:
                     core.stall_fetch(1)
                 core.set_profile(cold_profile)
                 n_groups, n_cold_cti, n_misp = self._execute_cold(
-                    core, hierarchy, bpred, result, segment,
-                    cold_plans, backend,
+                    core, hierarchy, bpred, result, segment, cold_plans,
                 )
                 if n_groups:
                     if not n_fetch_cycle:
@@ -1298,37 +1327,6 @@ class ParrotSimulator:
 
     # -- cold pipeline -------------------------------------------------------------
 
-    @staticmethod
-    def _compile_cold_plan(instructions: list, params) -> tuple:
-        """Compile a segment's cold execution plan: groups of uop rows.
-
-        Returns ``(groups, n_uops, n_reads, n_writes, fu_counts, n_cti)``
-        — the groups plus the segment's static event totals (see
-        :func:`~repro.pipeline.core.compile_plan_stats`).  Each group is
-        ``(start_address, entries)``; each entry is ``(instr_index, rows,
-        is_cti)`` with one :func:`~repro.pipeline.core.compile_uop_row`
-        row per decoded uop.  Everything here is a static function of the
-        segment's instruction path, so complete segments cache the plan
-        per TID.
-        """
-        groups = []
-        all_rows = []
-        n_cti = 0
-        for start_idx, end_idx, start_address in plan_cold_groups(
-            instructions, params
-        ):
-            entries = []
-            for idx in range(start_idx, end_idx):
-                instr = instructions[idx].instr
-                rows = tuple(compile_uop_row(uop) for uop in instr.uops)
-                all_rows.extend(rows)
-                is_cti = instr.is_cti
-                if is_cti:
-                    n_cti += 1
-                entries.append((idx, rows, is_cti))
-            groups.append((start_address, entries))
-        return (groups, *compile_plan_stats(all_rows), n_cti)
-
     def _execute_cold(
         self,
         core: TimingCore,
@@ -1337,51 +1335,32 @@ class ParrotSimulator:
         result: SimulationResult,
         segment: TraceSegment,
         cold_plans: dict[TraceId, tuple],
-        backend: ExecutionBackend = ExecutionBackend.SCALAR,
     ) -> tuple[int, int, int]:
         """Execute a segment on the cold pipeline (icache fetch + decode).
 
-        ``cold_plans`` caches whichever plan shape the machine's backend
-        replays; shared dicts are already partitioned by backend
-        (:class:`ColdPlanCache`), private ones serve a single backend.
-        Returns ``(n_groups, n_cti, n_misp)`` — the plan-level event
-        totals the segment loop folds into its batched counters.
+        Cold code is not worth specializing, so every backend replays the
+        scalar cold plan (:func:`compile_cold_plan`).  Returns
+        ``(n_groups, n_cti, n_misp)`` — the plan-level event totals the
+        segment loop folds into its batched counters.
         """
         instructions = segment.instructions
         complete_segment = segment.complete
         plan = cold_plans.get(segment.tid) if complete_segment else None
-        if backend is ExecutionBackend.COMPILED:
-            if plan is None:
-                plan = compile_cold_specialized(
-                    instructions, self.config.fetch
-                )
-                if complete_segment:
-                    cold_plans[segment.tid] = plan
-            n_misp = run_cold_compiled(
-                core, plan, instructions,
-                hierarchy.fetch_latency,
-                hierarchy.load_latency,
-                hierarchy.store_access,
-                bpred.predict_and_train,
-            )
-            _fn, _probes, n_uops, n_groups, n_cti = plan
-        else:
-            if plan is None:
-                plan = self._compile_cold_plan(
-                    instructions, self.config.fetch
-                )
-                if complete_segment:
-                    cold_plans[segment.tid] = plan
-            n_misp = core.run_cold_plan(
-                plan,
-                instructions,
-                hierarchy.fetch_latency,
-                hierarchy.load_latency,
-                hierarchy.store_access,
-                bpred.predict_and_train,
-            )
-            groups, n_uops, _n_reads, _n_writes, _fu_counts, n_cti = plan
-            n_groups = len(groups)
+        if plan is None:
+            plan = compile_cold_specialized(instructions, self.config.fetch)
+            if complete_segment:
+                cold_plans[segment.tid] = plan
+        n_misp = run_cold_compiled(
+            core,
+            plan,
+            instructions,
+            hierarchy.fetch_latency,
+            hierarchy.load_latency,
+            hierarchy.store_access,
+            bpred.predict_and_train,
+        )
+        groups, n_uops, _n_reads, _n_writes, _fu_counts, n_cti = plan
+        n_groups = len(groups)
         result.uops_cold += n_uops
         if n_cti:
             result.cold_branch_predictions += n_cti

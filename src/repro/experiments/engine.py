@@ -29,7 +29,7 @@ call, so a worker resolves the application's compiled trace artifact
 (:class:`~repro.workloads.tracefile.ArtifactCache`), its shared segment
 partition and a :class:`~repro.core.simulator.ColdPlanCache` over it once,
 and replays them for every model in the chunk (models with equal fetch
-parameters and backend share compiled cold plans through the cache).
+parameters share cold plans through the cache, whatever their backend).
 Workers are reused processes, so per-worker memos also amortise model
 configs, simulators and applications across everything a worker executes.
 
@@ -182,9 +182,9 @@ class Scale:
     from / written to the persistent result store, ``sampling`` the
     sampled-simulation regime (``None`` = full detail), ``artifacts``
     whether runs ingest compiled trace artifacts instead of re-walking the
-    workload generator per cell, and ``backend`` the batch executor
-    evaluating planned segments (the scalar reference, or its
-    bit-identical compiled twin).
+    workload generator per cell, and ``backend`` the hot-trace executor
+    (the scalar reference, or its bit-identical compiled twin; cold
+    segments replay on the scalar executor under both).
     """
 
     apps: int | None = DEFAULT_APPS
@@ -532,8 +532,8 @@ def _worker_artifact(
     for every model — but only in full-detail mode (``want_segments``);
     sampled runs drive their own interval schedule off the stream.  The
     :class:`~repro.core.simulator.ColdPlanCache` is bound to that segment
-    list and partitions plans by (fetch parameters, backend); it lives and
-    dies with the entry, so plans can never leak across applications.
+    list and partitions plans by fetch parameters; it lives and dies with
+    the entry, so plans can never leak across applications.
     """
     memo_key = (str(cache.root), app_name, length)
     entry = _WORKER_ARTIFACTS.get(memo_key)

@@ -54,7 +54,7 @@ class ExperimentRunner:
     every run to sampled simulation (keyed separately in the store);
     ``artifacts=False`` disables the compiled-trace-artifact fast path
     (``artifact_dir`` overrides where artifacts live, default beside the
-    result store); ``backend`` selects the batch executor (the scalar
+    result store); ``backend`` selects the hot-trace executor (the scalar
     reference by default, or the bit-identical compiled backend).  The
     default construction — serial, no disk store, full detail — behaves
     exactly like the historical in-process runner apart from the artifact

@@ -10,14 +10,14 @@ from enum import Enum
 
 
 class ExecutionBackend(Enum):
-    """Which batch executor evaluates planned segments.
+    """Which executor replays hot traces.
 
     ``SCALAR`` is the default and the reference semantics: the row-replay
     path of :class:`~repro.pipeline.core.TimingCore`, itself pinned
     against :meth:`~repro.pipeline.core.TimingCore.run_uop` and the golden
-    results.  ``COMPILED`` replays per-plan generated functions
-    (:mod:`repro.pipeline.specialize`); it is bit-identical to ``SCALAR``
-    and pays off once its plans are warm (in memory or on disk).
+    results.  ``COMPILED`` replays each hot trace through a generated
+    function (:mod:`repro.pipeline.specialize`); it is bit-identical to
+    ``SCALAR``.  Cold segments replay on the scalar cold plan under both.
     """
 
     SCALAR = "scalar"

@@ -1,12 +1,15 @@
-"""Plan-specialized replay: the ``compiled`` execution backend.
+"""Hot-trace specialization: the ``compiled`` execution backend.
 
-The scalar batch executors (:meth:`~repro.pipeline.core.TimingCore.
-run_hot_plan` / :meth:`~repro.pipeline.core.TimingCore.run_cold_plan`)
-replay the dispatch/issue/commit recurrence as a *generic* sequential
-CPython loop: per uop they unpack a nine-field row, re-resolve register
-ids against the register file, look up the FU issue triple and branch on
-properties that are static per plan.  This module compiles each plan
-into a dedicated Python function instead:
+The scalar hot executor (:meth:`~repro.pipeline.core.TimingCore.
+run_hot_plan`) replays the dispatch/issue/commit recurrence as a
+*generic* sequential CPython loop: per uop it unpacks a nine-field row,
+re-resolves register ids against the register file, looks up the FU
+issue triple and branches on properties that are static per plan.  This
+module compiles each hot trace's plan into a dedicated Python function
+instead.  Cold segments are not specialized: like PARROT's cold
+pipeline they run too few times to repay the compile, so every backend
+replays them on the scalar cold plan
+(:func:`~repro.core.simulator.compile_cold_plan`).
 
 * **dependency wake-up as precomputed links** — for every uop the
   compiler resolves which *in-segment* producers (by uop index) and which
@@ -26,9 +29,7 @@ into a dedicated Python function instead:
   on-disk cache of marshalled code objects under
   ``$REPRO_CACHE_DIR/compiled`` (invalidated by ``SCHEMA_VERSION`` and
   the interpreter's bytecode magic; corrupt or stale entries are
-  quarantined).  Cold generated sources bake nothing machine-specific
-  beyond the fetch parameters, so cold compiled plans keep the
-  cross-model sharing contract of :class:`ColdPlanCache`.
+  quarantined).
 
 The generated code performs the scalar recurrence operation for
 operation, so results are bit-identical to the scalar backend — pinned
@@ -48,11 +49,7 @@ from pathlib import Path
 from repro.cache import DiskCache
 from repro.isa.opcodes import FuClass
 from repro.isa.registers import NUM_ARCH_REGS, REG_NONE
-from repro.pipeline.core import (
-    _PRUNE_INTERVAL,
-    compile_plan_stats,
-    compile_uop_row,
-)
+from repro.pipeline.core import _PRUNE_INTERVAL, compile_plan_stats
 from repro.pipeline.resources import ExecProfile
 
 # SCHEMA_VERSION lives in repro.core.results; imported lazily where used
@@ -72,13 +69,14 @@ def _schema_version() -> int:
 _FILE_PREFIX = b"RPSC"
 _MEMORY_LIMIT = 512
 
-#: Memory LRU of materialized replay functions, keyed by content hash.
-#: Ordered least- to most-recently used; shared by every simulator in the
-#: process (engine workers each hold their own copy).
+#: Memory LRU of materialized hot-trace replay functions, keyed by
+#: content hash.  Ordered least- to most-recently used; shared by every
+#: simulator in the process (engine workers each hold their own copy).
 _MEMORY: OrderedDict[str, object] = OrderedDict()
 
-#: Loader statistics: plan compiles vs memory/disk hits, plus whole-plan
-#: memo hits (codegen skipped entirely, not just the compile step).
+#: Loader statistics for hot plans (the only plans that are generated):
+#: compiles vs memory/disk hits, plus whole-plan memo hits (codegen
+#: skipped entirely, not just the compile step).
 LOADER_STATS = {"compiles": 0, "memory_hits": 0, "disk_hits": 0,
                 "plan_hits": 0}
 
@@ -254,14 +252,14 @@ def _emit_wakeup(parts: list[str], prods, carry) -> None:
             parts.append(f"    if g{reg} > ready:\n        ready = g{reg}\n")
 
 
-def _emit_issue(parts: list[str], fu: FuClass, issue_width_expr: str,
-                fu_width_expr: str | None, start: str = "ready") -> None:
+def _emit_issue(parts: list[str], fu: FuClass, issue_width: int,
+                fu_width: int, start: str) -> None:
     if fu is FuClass.NONE:
         parts.append(
             f"    cycle = {start}\n"
             "    while True:\n"
             "        used = issue_get(cycle, 0)\n"
-            f"        if used < {issue_width_expr}:\n"
+            f"        if used < {issue_width}:\n"
             "            break\n"
             "        cycle += 1\n"
             "    issue_slots[cycle] = used + 1\n"
@@ -272,9 +270,9 @@ def _emit_issue(parts: list[str], fu: FuClass, issue_width_expr: str,
             f"    cycle = {start}\n"
             "    while True:\n"
             "        used = issue_get(cycle, 0)\n"
-            f"        if used < {issue_width_expr}:\n"
+            f"        if used < {issue_width}:\n"
             f"            fu_used = {name}_get(cycle, 0)\n"
-            f"            if fu_used < {fu_width_expr}:\n"
+            f"            if fu_used < {fu_width}:\n"
             "                break\n"
             "        cycle += 1\n"
             "    issue_slots[cycle] = used + 1\n"
@@ -282,9 +280,9 @@ def _emit_issue(parts: list[str], fu: FuClass, issue_width_expr: str,
         )
 
 
-def _wrap_lines(idx: str, size) -> str:
-    """Ring-index advance: a mask when the literal size is a power of two."""
-    if isinstance(size, int) and size > 0 and not (size & (size - 1)):
+def _wrap_lines(idx: str, size: int) -> str:
+    """Ring-index advance: a mask when the size is a power of two."""
+    if size > 0 and not (size & (size - 1)):
         return f"    {idx} = ({idx} + 1) & {size - 1}\n"
     return (
         f"    {idx} += 1\n"
@@ -293,10 +291,10 @@ def _wrap_lines(idx: str, size) -> str:
     )
 
 
-def _emit_commit(parts: list[str], k: int, step_expr: str,
-                 rob_size, win_size) -> None:
+def _emit_commit(parts: list[str], k: int, step: float, rob_size: int,
+                 win_size: int) -> None:
     parts.append(
-        f"    commit = commit_time + {step_expr}\n"
+        f"    commit = commit_time + {step!r}\n"
         f"    if c{k} + 1 > commit:\n"
         f"        commit = c{k} + 1.0\n"
         "    commit_time = commit\n"
@@ -307,13 +305,12 @@ def _emit_commit(parts: list[str], k: int, step_expr: str,
     )
 
 
-def _emit_epilogue(parts: list[str], last_writers, n: int, n_groups,
-                   n_reads: int, n_writes: int, fu_counts,
-                   fetch_expr: str) -> None:
+def _emit_epilogue(parts: list[str], last_writers, n: int, n_groups: int,
+                   n_reads: int, n_writes: int, fu_counts) -> None:
     for reg, j in last_writers:
         parts.append(f"    reg_ready[{reg}] = c{j}\n")
     parts.append(
-        f"    core.fetch_cycle = {fetch_expr}\n"
+        f"    core.fetch_cycle = fetch0 + {n_groups}\n"
         "    core._last_dispatch = last_dispatch\n"
         "    core._disp_cycle = disp_cycle\n"
         "    core._disp_used = disp_used\n"
@@ -332,23 +329,6 @@ def _emit_epilogue(parts: list[str], last_writers, n: int, n_groups,
         f"    core._since_prune += {n}\n"
         f"    if core._since_prune >= {_PRUNE_INTERVAL}:\n"
         "        core._prune_slots()\n"
-    )
-
-
-def _state_prologue() -> str:
-    return (
-        "    reg_ready = core.reg_ready\n"
-        "    last_dispatch = core._last_dispatch\n"
-        "    disp_cycle = core._disp_cycle\n"
-        "    disp_used = core._disp_used\n"
-        "    rob_ring = core._rob_ring\n"
-        "    rob_idx = core._rob_idx\n"
-        "    win_ring = core._win_ring\n"
-        "    win_idx = core._win_idx\n"
-        "    commit_time = core._commit_time\n"
-        "    issue_slots = core._issue_slots\n"
-        "    issue_get = issue_slots.get\n"
-        "    fu_lookup = core._fu_lookup\n"
     )
 
 
@@ -378,9 +358,22 @@ def _hot_source(rows: list, per_cycle: int, front_depth: int,
         {reg for carry in carried if carry for reg in carry}
     )
 
-    parts: list[str] = ["def replay(core, mem_lats):\n"]
-    parts.append("    fetch0 = core.fetch_cycle\n")
-    parts.append(_state_prologue())
+    parts: list[str] = [
+        "def replay(core, mem_lats):\n"
+        "    fetch0 = core.fetch_cycle\n"
+        "    reg_ready = core.reg_ready\n"
+        "    last_dispatch = core._last_dispatch\n"
+        "    disp_cycle = core._disp_cycle\n"
+        "    disp_used = core._disp_used\n"
+        "    rob_ring = core._rob_ring\n"
+        "    rob_idx = core._rob_idx\n"
+        "    win_ring = core._win_ring\n"
+        "    win_idx = core._win_idx\n"
+        "    commit_time = core._commit_time\n"
+        "    issue_slots = core._issue_slots\n"
+        "    issue_get = issue_slots.get\n"
+        "    fu_lookup = core._fu_lookup\n"
+    ]
     for fu in used_fus:
         name = _fu_name(fu)
         parts.append(
@@ -437,154 +430,18 @@ def _hot_source(rows: list, per_cycle: int, front_depth: int,
             start = "ready"
         else:
             start = "dispatch + 1"
-        _emit_issue(
-            parts, fu, str(issue_width),
-            None if fu is FuClass.NONE else str(fu_widths.get(fu, 1)),
-            start,
-        )
+        _emit_issue(parts, fu, issue_width, fu_widths.get(fu, 1), start)
         lat_expr = f"l{k}" if row[7] == 1 else str(latency)
         parts.append(f"    c{k} = cycle + {lat_expr}\n")
-        _emit_commit(parts, k, repr(step), rob_size, win_size)
+        _emit_commit(parts, k, step, rob_size, win_size)
 
     _emit_epilogue(parts, last_writers, n, n_groups, n_reads, n_writes,
-                   fu_counts, f"fetch0 + {n_groups}")
-    return "".join(parts)
-
-
-def _cold_source(groups: list, producers, carried, last_writers,
-                 n: int, n_reads: int, n_writes: int, fu_counts) -> str:
-    """Generate the straight-line cold replay source for one segment.
-
-    Nothing machine-specific is baked in — widths, depths and ring sizes
-    are read from the core at entry — so cold generated sources (and the
-    functions loaded from them) keep the scalar sharing contract:
-    shareable across models with equal fetch parameters.  The wrapper
-    hoists every hierarchy probe and predictor call into ``fetch_lats``
-    / ``mem_lats`` / ``misps`` (exact scalar order: the probes depend
-    only on the recorded stream, never on timing), so the generated body
-    is the pure timing recurrence, mispredict redirects included.
-
-    ``groups`` is ``((entries), ...)`` with entries ``(flat_ks, is_cti,
-    rows)`` — ``flat_ks`` the flat uop indices of one instruction.
-    """
-    used_fus = sorted(
-        {row[0] for _ks, _cti, rows in (e for g in groups for e in g)
-         for row in rows if row[0] is not FuClass.NONE},
-        key=int,
-    )
-    carried_regs = sorted(
-        {reg for carry in carried if carry for reg in carry}
-    )
-    load_ks = []
-    flat = 0
-    for entries in groups:
-        for _ks, _is_cti, rows in entries:
-            for row in rows:
-                if row[7] == 1:
-                    load_ks.append(flat)
-                flat += 1
-    n_cti = sum(
-        1 for entries in groups for _ks, is_cti, _rows in entries if is_cti
-    )
-
-    parts: list[str] = ["def replay(core, fetch_lats, mem_lats, misps):\n"]
-    parts.append(
-        "    fetch_cycle = core.fetch_cycle\n"
-        "    front_depth = core._front_depth\n"
-        "    rename_width = core._rename_width\n"
-        "    issue_width = core._issue_width\n"
-        "    commit_step = core._commit_step\n"
-        "    rob_size = core._rob_size\n"
-        "    win_size = core._win_size\n"
-    )
-    parts.append(_state_prologue())
-    for fu in used_fus:
-        name = _fu_name(fu)
-        parts.append(
-            f"    {name}_slots, {name}_get, {name}_w = "
-            f"fu_lookup[FU_{int(fu)}]\n"
-        )
-    if groups:
-        targets = ", ".join(f"f{i}" for i in range(len(groups)))
-        parts.append(f"    {targets}, = fetch_lats\n")
-    if load_ks:
-        targets = ", ".join(f"l{k}" for k in load_ks)
-        parts.append(f"    {targets}, = mem_lats\n")
-    if n_cti:
-        targets = ", ".join(f"b{i}" for i in range(n_cti))
-        parts.append(f"    {targets}, = misps\n")
-    for reg in carried_regs:
-        parts.append(f"    g{reg} = reg_ready[{reg}]\n")
-
-    cti_ordinal = 0
-    for i, entries in enumerate(groups):
-        parts.append(
-            f"    fetch_cycle += 1 + f{i}\n"
-            "    group_cycle = fetch_cycle\n"
-        )
-        for flat_ks, is_cti, rows in entries:
-            for k, row in zip(flat_ks, rows):
-                fu = row[0]
-                parts.append(
-                    "    dispatch = group_cycle + front_depth\n"
-                    "    if last_dispatch > dispatch:\n"
-                    "        dispatch = last_dispatch\n"
-                    "    if rob_ring[rob_idx] > dispatch:\n"
-                    "        dispatch = int(rob_ring[rob_idx]) + 1\n"
-                    "    win_gate = win_ring[win_idx]\n"
-                    "    if win_gate > dispatch:\n"
-                    "        dispatch = win_gate\n"
-                    "    if dispatch > disp_cycle:\n"
-                    "        disp_cycle = dispatch\n"
-                    "        disp_used = 0\n"
-                    "    else:\n"
-                    "        dispatch = disp_cycle\n"
-                    "    if disp_used >= rename_width:\n"
-                    "        disp_cycle += 1\n"
-                    "        disp_used = 0\n"
-                    "        dispatch = disp_cycle\n"
-                    "    disp_used += 1\n"
-                    "    last_dispatch = dispatch\n"
-                )
-                if producers[k] or carried[k]:
-                    parts.append("    ready = dispatch + 1\n")
-                    _emit_wakeup(parts, producers[k], carried[k])
-                    start = "ready"
-                else:
-                    start = "dispatch + 1"
-                _emit_issue(
-                    parts, fu, "issue_width",
-                    None if fu is FuClass.NONE else f"{_fu_name(fu)}_w",
-                    start,
-                )
-                lat_expr = f"l{k}" if row[7] == 1 else str(row[1])
-                parts.append(f"    c{k} = cycle + {lat_expr}\n")
-                _emit_commit(parts, k, "commit_step", "rob_size",
-                             "win_size")
-            if is_cti:
-                if rows:
-                    resolved = f"int(c{flat_ks[-1]} + 1)"
-                else:
-                    # The scalar loop resolves an uop-less CTI off its
-                    # initial ``complete = 0.0``.
-                    resolved = "1"
-                parts.append(
-                    f"    if b{cti_ordinal}:\n"
-                    f"        resolved = {resolved}\n"
-                    "        if resolved > fetch_cycle:\n"
-                    "            fetch_cycle = resolved\n"
-                    "        fetch_cycle += 1\n"
-                    "        group_cycle = fetch_cycle\n"
-                )
-                cti_ordinal += 1
-
-    _emit_epilogue(parts, last_writers, n, len(groups), n_reads, n_writes,
-                   fu_counts, "fetch_cycle")
+                   fu_counts)
     return "".join(parts)
 
 
 # --------------------------------------------------------------------------
-# Plan compilers + run wrappers (the backend surface the simulator uses).
+# Plan compiler + run wrapper (the backend surface the simulator uses).
 # --------------------------------------------------------------------------
 
 def compile_hot_specialized(rows: list, per_cycle: int, params) -> tuple:
@@ -627,57 +484,6 @@ def compile_hot_specialized(rows: list, per_cycle: int, params) -> tuple:
     return plan
 
 
-def compile_cold_specialized(instructions: list, params) -> tuple:
-    """Compile a cold segment into a specialized plan.
-
-    Shares the cold contract of the scalar backend (cacheable per TID,
-    shareable across models with equal fetch parameters — nothing but
-    the fetch grouping is baked into the source).  Layout::
-
-        (replay_fn, probes, n_uops, n_groups, n_cti)
-
-    ``probes`` drives the wrapper prologue in exact scalar order: one
-    ``(op, arg, default)`` per hierarchy/predictor call, with op 0 =
-    icache fetch (arg = start address), 1 = load (arg = instruction
-    index), 2 = store, 3 = CTI predict-and-train.
-    """
-    from repro.frontend.fetch import plan_cold_groups
-
-    all_rows: list = []
-    groups: list = []
-    probes: list = []
-    n_cti = 0
-    flat = 0
-    for start_idx, end_idx, start_address in plan_cold_groups(
-        instructions, params
-    ):
-        probes.append((0, start_address, 0))
-        entries = []
-        for idx in range(start_idx, end_idx):
-            instr = instructions[idx].instr
-            rows = tuple(compile_uop_row(uop) for uop in instr.uops)
-            all_rows.extend(rows)
-            flat_ks = tuple(range(flat, flat + len(rows)))
-            flat += len(rows)
-            for row in rows:
-                if row[7] == 1:
-                    probes.append((1, idx, row[1]))
-                elif row[7]:
-                    probes.append((2, idx, 0))
-            is_cti = instr.is_cti
-            if is_cti:
-                n_cti += 1
-                probes.append((3, idx, 0))
-            entries.append((flat_ks, is_cti, rows))
-        groups.append(entries)
-    producers, carried, last_writers = _dependency_links(all_rows)
-    n_uops, n_reads, n_writes, fu_counts = compile_plan_stats(all_rows)
-    source = _cold_source(groups, producers, carried, last_writers,
-                          n_uops, n_reads, n_writes, fu_counts)
-    fn = load_replay(source)
-    return (fn, tuple(probes), n_uops, len(groups), n_cti)
-
-
 _EMPTY: list = []
 
 
@@ -705,41 +511,3 @@ def run_hot_compiled(core, plan: tuple, instructions: list,
     else:
         mem_lats = _EMPTY
     fn(core, mem_lats)
-
-
-def run_cold_compiled(core, plan: tuple, instructions: list,
-                      fetch_latency, load_latency, store_access,
-                      predict_and_train) -> int:
-    """Specialized twin of :meth:`TimingCore.run_cold_plan`; returns mispredicts.
-
-    The prologue replays every hierarchy probe and predictor call in
-    exact scalar order (they depend only on the recorded stream, never
-    on timing), then hands the collected latencies and mispredict flags
-    to the pure-timing generated function.
-    """
-    fn, probes, _n_uops, _n_groups, _n_cti = plan
-    fetch_lats = []
-    mem_lats = []
-    misps = []
-    n_misp = 0
-    for op, arg, default in probes:
-        if op == 0:
-            fetch_lats.append(fetch_latency(arg))
-        elif op == 3:
-            dyn = instructions[arg]
-            missed = predict_and_train(dyn.instr, dyn.taken,
-                                       dyn.next_address)
-            misps.append(missed)
-            if missed:
-                n_misp += 1
-        else:
-            dyn = instructions[arg]
-            addr = dyn.mem_addr
-            if addr is None:
-                addr = dyn.instr.address
-            if op == 1:
-                mem_lats.append(load_latency(addr) or default)
-            else:
-                store_access(addr)
-    fn(core, fetch_lats, mem_lats, misps)
-    return n_misp

@@ -31,7 +31,7 @@ from repro.workloads.suite import application
 _PHASE_BUCKETS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("walk", ("workloads/stream", "workloads/behaviors", "random.py")),
     ("select", ("trace/selection", "trace/tid")),
-    # Generated replay functions carry the pseudo-filename
+    # Generated hot replay functions carry the pseudo-filename
     # ``<repro-compiled:HASH>`` (one per plan); fold every exec'd frame
     # plus the specializer's wrappers into a single phase instead of
     # scattering per-hash rows through the table.
@@ -148,8 +148,9 @@ def profile_run(
     The simulator is constructed outside the profiled region (model
     configuration is one-time setup, not hot-path), so the report isolates
     the per-run cost the optimization work targets.  ``backend`` selects
-    the batch executor; compiled runs surface their executor time under
-    ``replay(compiled)``.
+    the hot-trace executor; compiled runs surface hot replay under
+    ``replay(compiled)``, while cold replay stays under ``execute`` on
+    every backend.
     """
     app = application(app_name)
     simulator = ParrotSimulator(model_config(model_name))
