@@ -82,7 +82,7 @@ def test_single_run_throughput(benchmark):
 
 
 def test_compiled_run_throughput(benchmark):
-    """The compiled stack: artifact replay + per-plan generated code.
+    """The compiled stack: artifact replay + generated hot-trace code.
 
     This times what a grid cell pays once the worker memo is warm —
     compiled artifact, shared segment list, a populated
