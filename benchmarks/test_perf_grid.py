@@ -3,11 +3,7 @@
 The grid benchmark times what ``repro figure`` actually pays: every
 (application x model) cell of a figure-shaped grid, evaluated cold — no
 persistent result store, a fresh artifact cache per round — through the
-chunk-scheduled engine.  A second timing drives the same grid through
-:func:`legacy_task`, which replicates the pre-artifact worker contract
-(a fresh simulator and a full workload-generator walk per cell), so the
-recorded ``speedup_vs_legacy`` tracks what the compiled trace artifact
-layer and per-app chunk scheduling buy on top of the shared simulator.
+chunk-scheduled engine.
 
 Scale follows the ``REPRO_BENCH_*`` knobs: ``REPRO_BENCH_LENGTH``
 (default 20000), ``REPRO_BENCH_APPS`` (default 3 here — the benchmark
@@ -26,15 +22,14 @@ import os
 import shutil
 import tempfile
 
-from repro.core.simulator import ParrotSimulator, RunOptions
 from repro.experiments.engine import (
     ExperimentEngine,
     default_jobs,
     parse_apps,
     resolve_run_options,
 )
-from repro.models.configs import MODEL_NAMES, model_config
-from repro.workloads.suite import application, benchmark_suite
+from repro.models.configs import MODEL_NAMES
+from repro.workloads.suite import benchmark_suite
 
 LENGTH = int(os.environ.get("REPRO_BENCH_LENGTH", "20000"))
 APPS = parse_apps(os.environ.get("REPRO_BENCH_APPS", "3"))
@@ -48,15 +43,6 @@ TASKS = [
 ]
 
 
-def legacy_task(model_name: str, app_name: str, length: int,
-                sampling=None) -> dict:
-    """The pre-artifact worker: fresh simulator + generator walk per cell."""
-    result = ParrotSimulator(model_config(model_name)).simulate(
-        application(app_name), RunOptions(sampling=sampling), length=length
-    )
-    return result.to_dict()
-
-
 def _cold_grid(workdir: str) -> dict:
     """One cold evaluation of the full grid (store off, artifacts fresh)."""
     engine = ExperimentEngine(
@@ -64,20 +50,6 @@ def _cold_grid(workdir: str) -> dict:
         artifact_root=os.path.join(workdir, "artifacts"),
     )
     return engine.run(TASKS)
-
-
-def _legacy_grid() -> dict:
-    """The same grid under the pre-artifact per-cell contract."""
-    engine = ExperimentEngine(LENGTH, jobs=JOBS, task_fn=legacy_task)
-    return engine.run(TASKS)
-
-
-def _timeit(fn, *args) -> float:
-    import time
-
-    start = time.perf_counter()
-    fn(*args)
-    return time.perf_counter() - start
 
 
 def test_cold_grid_throughput(benchmark):
@@ -93,9 +65,6 @@ def test_cold_grid_throughput(benchmark):
 
     results = benchmark.pedantic(run, setup=setup, rounds=3, warmup_rounds=1)
 
-    # One reference round under the legacy contract for the speedup ratio.
-    legacy_seconds = _timeit(_legacy_grid)
-
     seconds = benchmark.stats.stats.mean
     cells = len(TASKS)
     benchmark.extra_info["cells"] = cells
@@ -103,10 +72,6 @@ def test_cold_grid_throughput(benchmark):
     benchmark.extra_info["length"] = LENGTH
     benchmark.extra_info["backend"] = BACKEND.value
     benchmark.extra_info["cells_per_second"] = round(cells / seconds, 2)
-    benchmark.extra_info["legacy_seconds"] = round(legacy_seconds, 3)
-    benchmark.extra_info["speedup_vs_legacy"] = round(
-        legacy_seconds / seconds, 2
-    )
 
     assert len(results) == cells
     assert all(result.cycles > 0 for result in results.values())

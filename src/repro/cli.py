@@ -70,7 +70,6 @@ environment:
   REPRO_BENCH_JOBS                        default worker count (all cores)
   REPRO_BENCH_CACHE=0                     disable the result store
   REPRO_BENCH_SAMPLING                    default sampling regime (off)
-  REPRO_BENCH_ARTIFACTS=0                 disable compiled trace artifacts
   REPRO_BENCH_BACKEND                     default execution backend (scalar)
   REPRO_CACHE_DIR                         cache location (~/.cache/repro)
 """
@@ -117,11 +116,6 @@ def _add_scale_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-cache", action="store_true",
         help="do not read or write the persistent result store",
-    )
-    parser.add_argument(
-        "--no-artifacts", action="store_true",
-        help="walk the workload generator per cell instead of replaying "
-             "compiled trace artifacts",
     )
     _add_run_option_args(parser)
 
@@ -361,7 +355,6 @@ def cmd_shard_run(args: argparse.Namespace) -> int:
             plan, args.index,
             store_root=args.store,
             jobs=jobs,
-            artifacts=not args.no_artifacts,
             progress=progress,
         )
     except ExperimentError as exc:
@@ -510,9 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     srun.add_argument("--store", default=None, metavar="DIR",
                       help="result-store root "
                            "(default: $REPRO_CACHE_DIR or ~/.cache/repro)")
-    srun.add_argument("--no-artifacts", action="store_true",
-                      help="walk the workload generator instead of "
-                           "compiled trace artifacts")
     srun.set_defaults(func=cmd_shard_run)
 
     smerge = shard_sub.add_parser(

@@ -24,21 +24,22 @@ stale records can never be served.
 
 A third property — every model of an application consumes the
 bit-identical dynamic stream — drives the scheduler: missing cells are
-grouped into per-application **chunks**, each submitted to the pool as one
-call, so a worker resolves the application's compiled trace artifact
+grouped into per-application **chunks**, and every chunk, serial or
+pooled, runs through one :class:`ChunkRunner`.  It resolves the
+application's compiled trace artifact
 (:class:`~repro.workloads.tracefile.ArtifactCache`), its shared segment
 partition and a :class:`~repro.core.simulator.ColdPlanCache` over it once,
 and replays them for every model in the chunk (models with equal fetch
 parameters share cold plans through the cache, whatever their backend).
-Workers are reused processes, so per-worker memos also amortise model
-configs, simulators and applications across everything a worker executes.
+The engine owns one runner for in-process cells; each pool worker, a
+reused process, keeps its own, so the runner's memos also amortise
+simulators and artifacts across everything a worker executes.
 
 Scale knobs (application count, run length, worker count, cache on/off,
-artifact cache on/off, sampling regime, execution backend) are unified in
-the :class:`Scale` dataclass; :func:`resolve_run_options` is the single
-seam where sampling/backend specs from the environment
-(``REPRO_BENCH_*``) or CLI arguments become a
-:class:`~repro.core.simulator.RunOptions`.
+sampling regime, execution backend) are unified in the :class:`Scale`
+dataclass; :func:`resolve_run_options` is the single seam where
+sampling/backend specs from the environment (``REPRO_BENCH_*``) or CLI
+arguments become a :class:`~repro.core.simulator.RunOptions`.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from repro.errors import ExperimentError
 from repro.models.configs import MODEL_NAMES, model_config
 from repro.pipeline.columnar import ExecutionBackend
 from repro.sampling.config import SamplingConfig
-from repro.workloads.suite import Application, app_seed, application
+from repro.workloads.suite import app_seed, application
 from repro.workloads.tracefile import ArtifactCache, TraceArtifact
 
 #: Environment variables controlling benchmark scale and the result store.
@@ -77,7 +78,6 @@ ENV_JOBS = "REPRO_BENCH_JOBS"
 ENV_CACHE = "REPRO_BENCH_CACHE"
 ENV_TIMEOUT = "REPRO_BENCH_TIMEOUT"
 ENV_SAMPLING = "REPRO_BENCH_SAMPLING"
-ENV_ARTIFACTS = "REPRO_BENCH_ARTIFACTS"
 ENV_BACKEND = "REPRO_BENCH_BACKEND"
 
 DEFAULT_APPS = 15
@@ -180,9 +180,8 @@ class Scale:
     44-app roster), ``length`` the instructions simulated per application,
     ``jobs`` the process-pool width, ``cache`` whether runs are served
     from / written to the persistent result store, ``sampling`` the
-    sampled-simulation regime (``None`` = full detail), ``artifacts``
-    whether runs ingest compiled trace artifacts instead of re-walking the
-    workload generator per cell, and ``backend`` the hot-trace executor
+    sampled-simulation regime (``None`` = full detail) and ``backend``
+    the hot-trace executor
     (the scalar reference, or its bit-identical compiled twin; cold
     segments replay on the scalar executor under both).
     """
@@ -192,7 +191,6 @@ class Scale:
     jobs: int = field(default_factory=default_jobs)
     cache: bool = True
     sampling: SamplingConfig | None = None
-    artifacts: bool = True
     backend: ExecutionBackend = ExecutionBackend.SCALAR
 
     def run_options(self) -> RunOptions:
@@ -207,9 +205,8 @@ class Scale:
         ``REPRO_BENCH_JOBS`` (default: all cores), ``REPRO_BENCH_CACHE``
         (``0`` disables the result store), ``REPRO_BENCH_SAMPLING``
         (``off``/``on``/``D:G:W[:F][:CONF]``; see
-        :meth:`~repro.sampling.config.SamplingConfig.parse`),
-        ``REPRO_BENCH_ARTIFACTS`` (``0`` disables the artifact fast path)
-        and ``REPRO_BENCH_BACKEND`` (``scalar``/``compiled``).
+        :meth:`~repro.sampling.config.SamplingConfig.parse`) and
+        ``REPRO_BENCH_BACKEND`` (``scalar``/``compiled``).
         """
         options = resolve_run_options()
         return cls(
@@ -218,20 +215,18 @@ class Scale:
             jobs=default_jobs(),
             cache=_env_flag(ENV_CACHE),
             sampling=options.sampling,
-            artifacts=_env_flag(ENV_ARTIFACTS),
             backend=options.backend,
         )
 
     @classmethod
     def from_args(cls, args: Any) -> "Scale":
         """Resolve from parsed CLI arguments (``--apps/--length/--jobs/
-        --no-cache/--sampling/--no-artifacts/--backend``); unset
+        --no-cache/--sampling/--backend``); unset
         ``--jobs`` falls back to the environment, and absent
         ``--sampling``/``--backend`` fall back to
         ``REPRO_BENCH_SAMPLING``/``REPRO_BENCH_BACKEND``."""
         jobs = getattr(args, "jobs", None)
         no_cache = bool(getattr(args, "no_cache", False))
-        no_artifacts = bool(getattr(args, "no_artifacts", False))
         options = resolve_run_options(
             getattr(args, "sampling", None),
             getattr(args, "backend", None),
@@ -242,7 +237,6 @@ class Scale:
             jobs=default_jobs() if jobs is None else jobs,
             cache=not no_cache and _env_flag(ENV_CACHE),
             sampling=options.sampling,
-            artifacts=not no_artifacts and _env_flag(ENV_ARTIFACTS),
             backend=options.backend,
         )
 
@@ -475,107 +469,124 @@ def _decode_record(path: Path) -> dict:
     return record
 
 
-# -- the process-pool engine --------------------------------------------------
+# -- the chunk runner ---------------------------------------------------------
 
-# Pool workers are reused processes, so module-level memos amortise the
-# per-cell setup cost across every cell a worker ever executes: model
-# configs and simulators by model name, Application handles by app name,
-# and the two most recent (artifact, shared segment partition, cold-plan
-# memo) entries by (cache root, app, length).  ParrotSimulator keeps no
-# state across runs
-# (everything lives in a per-run machine), so sharing one instance per
-# model is safe; the artifact memo is a tiny LRU because one decoded
-# instruction list plus its segment partition is the only per-app state
-# worth holding, and chunk scheduling gives each worker app affinity.
-_WORKER_SIMULATORS: dict[str, ParrotSimulator] = {}
-_WORKER_APPS: dict[str, Application] = {}
-_WORKER_ARTIFACT_CACHES: dict[str, ArtifactCache] = {}
-_WORKER_ARTIFACTS: OrderedDict[tuple[str, str, int], list] = OrderedDict()
-_WORKER_ARTIFACT_LIMIT = 2
+#: Artifact entries a chunk runner keeps alive.  One decoded instruction
+#: list plus its segment partition is the only per-app state worth
+#: holding, and chunk scheduling gives every runner app affinity.
+_ARTIFACT_LIMIT = 2
 
 
-def _worker_simulator(model_name: str) -> ParrotSimulator:
-    simulator = _WORKER_SIMULATORS.get(model_name)
-    if simulator is None:
-        simulator = ParrotSimulator(model_config(model_name))
-        _WORKER_SIMULATORS[model_name] = simulator
-    return simulator
+@dataclass
+class ChunkRun:
+    """What one :meth:`ChunkRunner.run` call produced: one result per cell
+    in cell order, plus the artifact-cache hits and compiles it caused."""
+
+    results: list[SimulationResult]
+    artifact_hits: int = 0
+    artifact_compiles: int = 0
 
 
-def _worker_application(app_name: str) -> Application:
-    app = _WORKER_APPS.get(app_name)
-    if app is None:
-        app = application(app_name)
-        _WORKER_APPS[app_name] = app
-    return app
+class ChunkRunner:
+    """The one executor behind every simulated grid cell.
 
-
-def _worker_artifact_cache(root: str) -> ArtifactCache:
-    cache = _WORKER_ARTIFACT_CACHES.get(root)
-    if cache is None:
-        cache = ArtifactCache(root)
-        _WORKER_ARTIFACT_CACHES[root] = cache
-    return cache
-
-
-def _worker_artifact(
-    cache: ArtifactCache,
-    app_name: str,
-    length: int,
-    want_segments: bool,
-) -> tuple[TraceArtifact, list | None, ColdPlanCache | None]:
-    """The (artifact, shared segments, plan cache) for one worker-memoized app.
-
-    The segment partition is model-independent (the selector segments the
-    raw dynamic stream before any model state exists), so it is resolved
-    once per (app, length) via :meth:`TraceArtifact.segments` and replayed
-    for every model — but only in full-detail mode (``want_segments``);
+    A chunk is a list of cells sharing one application (see
+    ``ExperimentEngine._plan_chunks``).  The runner resolves the app's
+    compiled trace artifact once and replays it for every model of the
+    chunk.  In full-detail mode it also shares the artifact's segment
+    partition, which is model-independent (the selector segments the raw
+    dynamic stream before any model state exists), and a
+    :class:`~repro.core.simulator.ColdPlanCache` bound to that partition;
     sampled runs drive their own interval schedule off the stream.  The
-    :class:`~repro.core.simulator.ColdPlanCache` is bound to that segment
-    list and partitions plans by fetch parameters; it lives and dies with
-    the entry, so plans can never leak across applications.
+    plan cache lives and dies with its artifact entry, so plans never
+    leak across applications.
+
+    Simulators (one per model: ``ParrotSimulator`` keeps no state across
+    runs) and the two most recent artifact entries are memoised across
+    calls.  An :class:`ExperimentEngine` owns one
+    runner for its in-process cells; each pool worker keeps one per
+    artifact root (:func:`simulate_chunk`).
     """
-    memo_key = (str(cache.root), app_name, length)
-    entry = _WORKER_ARTIFACTS.get(memo_key)
-    if entry is None:
-        artifact = cache.get_or_compile(_worker_application(app_name), length)
-        entry = [artifact, None, None]
-        _WORKER_ARTIFACTS[memo_key] = entry
-        while len(_WORKER_ARTIFACTS) > _WORKER_ARTIFACT_LIMIT:
-            _WORKER_ARTIFACTS.popitem(last=False)
-    else:
-        _WORKER_ARTIFACTS.move_to_end(memo_key)
-    artifact = entry[0]
-    if not want_segments:
-        return artifact, None, None
-    if entry[1] is None:
-        entry[1] = artifact.segments()
-        entry[2] = ColdPlanCache(entry[1])
-    return artifact, entry[1], entry[2]
+
+    def __init__(self, artifact_root: str | Path | None = None):
+        self.artifacts = ArtifactCache(artifact_root)
+        self._simulators: dict[str, ParrotSimulator] = {}
+        self._entries: OrderedDict[tuple[str, int], list] = OrderedDict()
+
+    def run(
+        self,
+        cells: Sequence[Task],
+        length: int,
+        sampling: SamplingConfig | None = None,
+        backend: ExecutionBackend = ExecutionBackend.SCALAR,
+    ) -> ChunkRun:
+        """Simulate ``cells`` at ``length`` instructions, in order."""
+        hits, compiles = self.artifacts.hits, self.artifacts.compiles
+        results = []
+        for model_name, app_name in cells:
+            artifact, segments, plans = self._artifact(
+                app_name, length, want_segments=sampling is None
+            )
+            simulator = self._simulators.get(model_name)
+            if simulator is None:
+                simulator = ParrotSimulator(model_config(model_name))
+                self._simulators[model_name] = simulator
+            results.append(simulator.simulate(
+                artifact,
+                RunOptions(sampling=sampling, backend=backend,
+                           segments=segments, cold_plans=plans),
+            ))
+        return ChunkRun(results, self.artifacts.hits - hits,
+                        self.artifacts.compiles - compiles)
+
+    def _artifact(
+        self, app_name: str, length: int, *, want_segments: bool
+    ) -> tuple[TraceArtifact, list | None, ColdPlanCache | None]:
+        """The (artifact, shared segments, plan cache) entry of one app."""
+        key = (app_name, length)
+        entry = self._entries.get(key)
+        if entry is None:
+            artifact = self.artifacts.get_or_compile(
+                application(app_name), length
+            )
+            entry = [artifact, None, None]
+            self._entries[key] = entry
+            while len(self._entries) > _ARTIFACT_LIMIT:
+                self._entries.popitem(last=False)
+        else:
+            self._entries.move_to_end(key)
+        if not want_segments:
+            return entry[0], None, None
+        if entry[1] is None:
+            entry[1] = entry[0].segments()
+            entry[2] = ColdPlanCache(entry[1])
+        return entry[0], entry[1], entry[2]
 
 
-def simulate_task(
-    model_name: str,
-    app_name: str,
+def _run_cells(
+    runner: ChunkRunner,
+    cells: Sequence[Task],
     length: int,
-    sampling: SamplingConfig | None = None,
-    backend: ExecutionBackend = ExecutionBackend.SCALAR,
-) -> dict:
-    """Worker entry point: run one grid cell, return its serialized result.
+    sampling: SamplingConfig | None,
+    backend: ExecutionBackend,
+    task_fn: Callable[..., dict] | None,
+) -> ChunkRun:
+    """One chunk through ``runner``, or through a custom ``task_fn`` (test
+    harnesses) called per cell as ``task_fn(model, app, length[,
+    sampling])`` and returning a serialized result."""
+    if task_fn is None:
+        return runner.run(cells, length, sampling, backend)
+    extra = () if sampling is None else (sampling,)
+    return ChunkRun([
+        SimulationResult.from_dict(task_fn(model, app, length, *extra))
+        for model, app in cells
+    ])
 
-    Executes in a pool worker; the payload crosses the process boundary as
-    a ``SimulationResult.to_dict()`` dict (the same schema the result
-    store persists), keeping worker IPC and the store on one format.  With
-    ``sampling`` set the run is sampled and the payload is the
-    extrapolated result.  The simulator and application handle come from
-    the worker-local memos, so a reused worker never rebuilds them.
-    """
-    result = _worker_simulator(model_name).simulate(
-        _worker_application(app_name),
-        RunOptions(sampling=sampling, backend=backend),
-        length=length,
-    )
-    return result.to_dict()
+
+#: Each pool worker's chunk runners by artifact root.  Workers are reused
+#: processes, so the runner's memos amortise simulators and artifacts
+#: across every chunk a worker ever executes.
+_WORKER_RUNNERS: dict[str | None, ChunkRunner] = {}
 
 
 def simulate_chunk(
@@ -586,77 +597,49 @@ def simulate_chunk(
     task_fn: Callable[..., dict] | None = None,
     backend: ExecutionBackend = ExecutionBackend.SCALAR,
 ) -> dict:
-    """Worker entry point: run a chunk of grid cells in one pool call.
+    """Worker entry point: run one chunk of grid cells in one pool call.
 
-    ``cells`` share one application by construction (see
-    ``ExperimentEngine._plan_chunks``), so with ``artifact_root`` set the
-    worker resolves the app's compiled trace artifact and shared segment
-    partition once and replays them for every model in the chunk.  With
-    ``artifact_root=None`` (artifacts disabled) each cell runs through the
-    generator path; a custom ``task_fn`` (test harnesses) is called per
-    cell exactly as the unchunked engine did, and its exceptions propagate
-    raw so the engine can attribute them.
-
-    Returns ``{"results": [...], "artifact_hits": h, "artifact_compiles": c}``
-    with one serialized result per cell, in cell order.
+    Runs the chunk through this worker's :class:`ChunkRunner` for
+    ``artifact_root`` (or the custom ``task_fn``, whose exceptions
+    propagate raw so the engine can attribute them) and serializes at the
+    process boundary: returns ``{"results": [...], "artifact_hits": h,
+    "artifact_compiles": c}`` with one ``SimulationResult.to_dict()``
+    payload per cell — the format the result store persists — in cell
+    order.
     """
-    if task_fn is not None:
-        extra = () if sampling is None else (sampling,)
-        return {
-            "results": [
-                task_fn(model, app, length, *extra) for model, app in cells
-            ],
-            "artifact_hits": 0,
-            "artifact_compiles": 0,
-        }
-    if artifact_root is None:
-        return {
-            "results": [
-                simulate_task(model, app, length, sampling, backend)
-                for model, app in cells
-            ],
-            "artifact_hits": 0,
-            "artifact_compiles": 0,
-        }
-    cache = _worker_artifact_cache(artifact_root)
-    hits0, compiles0 = cache.hits, cache.compiles
-    results = []
-    for model_name, app_name in cells:
-        artifact, segments, plan_cache = _worker_artifact(
-            cache, app_name, length, want_segments=sampling is None
-        )
-        result = _worker_simulator(model_name).simulate(
-            artifact,
-            RunOptions(
-                sampling=sampling, backend=backend,
-                segments=segments, cold_plans=plan_cache,
-            ),
-        )
-        results.append(result.to_dict())
+    runner = _WORKER_RUNNERS.get(artifact_root)
+    if runner is None:
+        runner = _WORKER_RUNNERS[artifact_root] = ChunkRunner(artifact_root)
+    run = _run_cells(runner, cells, length, sampling, backend, task_fn)
     return {
-        "results": results,
-        "artifact_hits": cache.hits - hits0,
-        "artifact_compiles": cache.compiles - compiles0,
+        "results": [result.to_dict() for result in run.results],
+        "artifact_hits": run.artifact_hits,
+        "artifact_compiles": run.artifact_compiles,
     }
 
 
 class ExperimentEngine:
     """Evaluate (application x model) grid cells, in parallel, cached.
 
-    The engine owns the two cross-cutting counters the harness and the
+    The engine owns the cross-cutting counters the harness and the
     acceptance tests read: ``cache_hits`` (runs served from the persistent
-    store) and ``simulations_run`` (runs actually simulated, in-process or
-    in a worker).
+    store), ``simulations_run`` (runs actually simulated, in-process or
+    in a worker) and ``artifact_hits``/``artifact_compiles`` (compiled
+    trace artifacts loaded from disk or built, summed over every chunk).
 
-    Fault handling in the parallel path:
+    Serial and pool runs execute the same per-application chunks through
+    the same :class:`ChunkRunner` (in-process: the engine's own
+    ``runner``) and share one failure contract: an exception raised while
+    simulating a chunk fails the grid with an
+    :class:`~repro.errors.ExperimentError` naming the chunk's cells, the
+    original exception chained as ``__cause__``.  On top of that the
+    parallel path handles pool faults:
 
     * a crashed worker (``BrokenProcessPool``) triggers one pool rebuild
       and resubmission of the unfinished cells; a second crash raises
       :class:`~repro.errors.ExperimentError`;
-    * any other worker exception is a real simulation failure: the
-      surviving workers are terminated and the grid fails with an
-      :class:`~repro.errors.ExperimentError` naming the failing
-      (model, app) cell, the worker traceback chained as ``__cause__``;
+    * a simulation failure also terminates the surviving workers, and is
+      never retried (a deterministic simulator fails the same way again);
     * ``timeout`` bounds the wait for the *next* completion — if no run
       finishes within it the surviving workers are terminated and the
       grid fails (a deterministic simulator either finishes or is hung).
@@ -673,10 +656,9 @@ class ExperimentEngine:
         store: ResultStore | None = None,
         timeout: float | None = None,
         progress: ProgressFn | None = None,
-        task_fn: Callable[..., dict] = simulate_task,
+        task_fn: Callable[..., dict] | None = None,
         mp_context: Any | None = None,
         sampling: SamplingConfig | None = None,
-        artifacts: bool = True,
         artifact_root: str | Path | None = None,
         backend: ExecutionBackend = ExecutionBackend.SCALAR,
         shard: str | None = None,
@@ -694,13 +676,11 @@ class ExperimentEngine:
         self.sampling = sampling
         self.backend = backend
         self.shard = shard
-        self.artifact_cache = ArtifactCache(artifact_root) if artifacts else None
+        self.runner = ChunkRunner(artifact_root)
         self.simulations_run = 0
-        self._simulators: dict[str, ParrotSimulator] = {}
+        self.artifact_hits = 0
+        self.artifact_compiles = 0
         self._configs: dict[str, MachineConfig] = {}
-        self._artifact_memo: OrderedDict[str, list] = OrderedDict()
-        self._pool_artifact_hits = 0
-        self._pool_artifact_compiles = 0
         self._reported_done = 0
 
     # -- bookkeeping -------------------------------------------------------
@@ -709,18 +689,6 @@ class ExperimentEngine:
     def cache_hits(self) -> int:
         """Runs served from the persistent store instead of simulated."""
         return self.store.hits if self.store is not None else 0
-
-    @property
-    def artifact_hits(self) -> int:
-        """Compiled trace artifacts loaded from disk (engine + workers)."""
-        own = self.artifact_cache.hits if self.artifact_cache else 0
-        return own + self._pool_artifact_hits
-
-    @property
-    def artifact_compiles(self) -> int:
-        """Compiled trace artifacts built from scratch (engine + workers)."""
-        own = self.artifact_cache.compiles if self.artifact_cache else 0
-        return own + self._pool_artifact_compiles
 
     def _config(self, model_name: str) -> MachineConfig:
         if model_name not in MODEL_NAMES:
@@ -750,6 +718,8 @@ class ExperimentEngine:
         missing, in-process otherwise.
         """
         tasks = list(dict.fromkeys(tasks))
+        for model_name, _ in tasks:
+            self._config(model_name)  # validate names before simulating
         self._reported_done = 0
         results: dict[Task, SimulationResult] = {}
         missing: list[Task] = []
@@ -790,88 +760,39 @@ class ExperimentEngine:
                 label = f"{self.shard}:{label}"
             self.progress(done, total, label, source)
 
-    def _simulator(self, model_name: str) -> ParrotSimulator:
-        if model_name not in self._simulators:
-            self._simulators[model_name] = ParrotSimulator(
-                self._config(model_name)
-            )
-        return self._simulators[model_name]
-
-    def _serial_artifact(
-        self, app_name: str
-    ) -> tuple[TraceArtifact, list | None, ColdPlanCache | None]:
-        """In-process analogue of the worker artifact memo (LRU of 2)."""
-        entry = self._artifact_memo.get(app_name)
-        if entry is None:
-            artifact = self.artifact_cache.get_or_compile(
-                application(app_name), self.length
-            )
-            entry = [artifact, None, None]
-            self._artifact_memo[app_name] = entry
-            while len(self._artifact_memo) > _WORKER_ARTIFACT_LIMIT:
-                self._artifact_memo.popitem(last=False)
-        else:
-            self._artifact_memo.move_to_end(app_name)
-        if self.sampling is not None:
-            return entry[0], None, None
-        if entry[1] is None:
-            entry[1] = entry[0].segments()
-            entry[2] = ColdPlanCache(entry[1])
-        return entry[0], entry[1], entry[2]
+    def _collect(self, chunk: list[Task], run: ChunkRun,
+                 results: dict[Task, SimulationResult], *, done: int,
+                 total: int, tag: str) -> int:
+        """Record one finished chunk; returns the new completion count."""
+        self.artifact_hits += run.artifact_hits
+        self.artifact_compiles += run.artifact_compiles
+        for task, result in zip(chunk, run.results):
+            results[task] = result
+            self.simulations_run += 1
+            done += 1
+            self._report(done, total, task, "run", chunk=tag)
+        return done
 
     def _run_serial(
         self, tasks: list[Task], *, done: int, total: int
     ) -> dict[Task, SimulationResult]:
-        for model_name, _ in tasks:
-            self._config(model_name)  # validate names before simulating
-        # Group cells into per-application chunks (the same planner the
-        # pool path uses, one "worker") so the artifact and its shared
-        # segment partition are resolved once per app and replayed for
-        # every model — and so progress lines carry the same chunk labels
-        # the parallel path reports.
+        # One "worker": the pool's chunk plan, chunk runner, failure
+        # contract and chunk-labelled progress, in-process.
         chunks = self._plan_chunks(tasks, 1)
-        use_artifacts = (
-            self.artifact_cache is not None and self.task_fn is simulate_task
-        )
         results: dict[Task, SimulationResult] = {}
         for index, chunk in enumerate(chunks):
-            tag = f"chunk {index + 1}/{len(chunks)}"
-            app_name = chunk[0][1]
-            artifact = segments = plan_cache = None
-            if use_artifacts:
-                artifact, segments, plan_cache = self._serial_artifact(
-                    app_name
-                )
-            for model_name, _ in chunk:
-                simulator = self._simulator(model_name)
-                if artifact is not None:
-                    result = simulator.simulate(
-                        artifact,
-                        RunOptions(
-                            sampling=self.sampling, backend=self.backend,
-                            segments=segments, cold_plans=plan_cache,
-                        ),
-                    )
-                else:
-                    result = simulator.simulate(
-                        application(app_name),
-                        RunOptions(
-                            sampling=self.sampling, backend=self.backend,
-                        ),
-                        length=self.length,
-                    )
-                results[(model_name, app_name)] = result
-                self.simulations_run += 1
-                done += 1
-                self._report(done, total, (model_name, app_name), "run",
-                             chunk=tag)
+            try:
+                run = _run_cells(self.runner, chunk, self.length,
+                                 self.sampling, self.backend, self.task_fn)
+            except Exception as exc:
+                raise self._failure(chunk, exc) from exc
+            done = self._collect(chunk, run, results, done=done, total=total,
+                                 tag=f"chunk {index + 1}/{len(chunks)}")
         return results
 
     def _run_parallel(
         self, tasks: list[Task], *, done: int, total: int
     ) -> dict[Task, SimulationResult]:
-        for model_name, _ in tasks:
-            self._config(model_name)  # validate names before forking
         results: dict[Task, SimulationResult] = {}
         pending = list(tasks)
         start = done
@@ -916,11 +837,16 @@ class ExperimentEngine:
         return chunks
 
     @staticmethod
-    def _chunk_label(chunk: list[Task]) -> str:
+    def _failure(chunk: list[Task], exc: Exception) -> ExperimentError:
+        """The grid failure for a chunk whose simulation raised ``exc``."""
         if len(chunk) == 1:
-            return f"{chunk[0][0]}/{chunk[0][1]}"
-        models = ", ".join(model for model, _ in chunk)
-        return f"{chunk[0][1]} x [{models}]"
+            label = f"{chunk[0][0]}/{chunk[0][1]}"
+        else:
+            models = ", ".join(model for model, _ in chunk)
+            label = f"{chunk[0][1]} x [{models}]"
+        return ExperimentError(
+            f"simulation of {label} failed: {type(exc).__name__}: {exc}"
+        )
 
     def _pool_pass(
         self,
@@ -932,22 +858,14 @@ class ExperimentEngine:
     ) -> int:
         chunks = self._plan_chunks(tasks, self.jobs)
         workers = min(self.jobs, len(chunks))
-        # A custom task_fn (test harness) is forwarded per cell inside the
-        # chunk call; the default path runs artifact-backed in the worker.
-        custom = None if self.task_fn is simulate_task else self.task_fn
-        root = (
-            str(self.artifact_cache.root)
-            if custom is None and self.artifact_cache is not None
-            else None
-        )
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=self.mp_context
         ) as pool:
             futures: dict[Future, tuple[str, list[Task]]] = {
                 pool.submit(
                     simulate_chunk, chunk, self.length, self.sampling,
-                    artifact_root=root, task_fn=custom,
-                    backend=self.backend,
+                    artifact_root=str(self.runner.artifacts.root),
+                    task_fn=self.task_fn, backend=self.backend,
                 ): (f"chunk {index + 1}/{len(chunks)}", chunk)
                 for index, chunk in enumerate(chunks)
             }
@@ -976,21 +894,18 @@ class ExperimentEngine:
                         broken = exc
                         continue
                     except Exception as exc:
-                        # A worker exception that is not a pool crash is a
-                        # real simulation failure: name the chunk, stop the
-                        # survivors, chain the original traceback.
+                        # Not a pool crash: a real simulation failure.
+                        # Stop the survivors before failing the grid.
                         self._terminate(pool)
-                        raise ExperimentError(
-                            f"simulation of {self._chunk_label(chunk)} "
-                            f"failed: {type(exc).__name__}: {exc}"
-                        ) from exc
-                    self._pool_artifact_hits += payload["artifact_hits"]
-                    self._pool_artifact_compiles += payload["artifact_compiles"]
-                    for task, cell in zip(chunk, payload["results"]):
-                        results[task] = SimulationResult.from_dict(cell)
-                        self.simulations_run += 1
-                        done += 1
-                        self._report(done, total, task, "run", chunk=tag)
+                        raise self._failure(chunk, exc) from exc
+                    run = ChunkRun(
+                        [SimulationResult.from_dict(cell)
+                         for cell in payload["results"]],
+                        payload["artifact_hits"],
+                        payload["artifact_compiles"],
+                    )
+                    done = self._collect(chunk, run, results, done=done,
+                                         total=total, tag=tag)
                 if broken is not None:
                     raise broken
         return done

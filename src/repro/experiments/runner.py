@@ -52,13 +52,11 @@ class ExperimentRunner:
     adds the persistent result store under ``cache_dir`` (default:
     ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``); ``sampling`` switches
     every run to sampled simulation (keyed separately in the store);
-    ``artifacts=False`` disables the compiled-trace-artifact fast path
-    (``artifact_dir`` overrides where artifacts live, default beside the
-    result store); ``backend`` selects the hot-trace executor (the scalar
-    reference by default, or the bit-identical compiled backend).  The
-    default construction — serial, no disk store, full detail — behaves
-    exactly like the historical in-process runner apart from the artifact
-    fast path, which is bit-identical by construction.
+    ``artifact_dir`` overrides where compiled trace artifacts live
+    (default beside the result store); ``backend`` selects the hot-trace
+    executor (the scalar reference by default, or the bit-identical
+    compiled backend).  The default construction is serial, with no disk
+    store, at full detail.
     """
 
     length: int = DEFAULT_LENGTH
@@ -69,7 +67,6 @@ class ExperimentRunner:
     timeout: float | None = None
     progress: ProgressFn | None = None
     sampling: SamplingConfig | None = None
-    artifacts: bool = True
     artifact_dir: str | Path | None = None
     backend: ExecutionBackend = ExecutionBackend.SCALAR
     _memo: dict[tuple[str, str], SimulationResult] = field(
@@ -86,7 +83,6 @@ class ExperimentRunner:
             timeout=self.timeout,
             progress=self.progress,
             sampling=self.sampling,
-            artifacts=self.artifacts,
             artifact_root=self.artifact_dir,
             backend=self.backend,
         )
@@ -100,7 +96,6 @@ class ExperimentRunner:
             jobs=scale.jobs,
             cache=scale.cache,
             sampling=scale.sampling,
-            artifacts=scale.artifacts,
             backend=scale.backend,
             **kwargs,
         )

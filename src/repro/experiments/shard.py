@@ -315,7 +315,6 @@ def run_shard(
     *,
     store_root: str | Path | None = None,
     jobs: int = 1,
-    artifacts: bool = True,
     artifact_root: str | Path | None = None,
     progress: ProgressFn | None = None,
     timeout: float | None = None,
@@ -327,6 +326,8 @@ def run_shard(
     from N hosts interleave legibly in one aggregated log.  Cells already
     present in the shard's store are served from it — re-running a shard
     (after a crash, say) only simulates what is genuinely missing.
+    ``artifact_root`` is where the shard's compiled trace artifacts live
+    (default beside the result store).
     """
     if not 0 <= index < len(plan.shards):
         raise ExperimentError(
@@ -340,7 +341,6 @@ def run_shard(
         store=store,
         sampling=plan.sampling,
         backend=plan.backend,
-        artifacts=artifacts,
         artifact_root=artifact_root,
         progress=progress,
         timeout=timeout,

@@ -1,38 +1,27 @@
-"""Execution-trace files: capture, store and replay dynamic streams.
+"""Compiled trace artifacts: record a dynamic stream once, replay it often.
 
 The paper's simulators are *trace-driven*: they replay recorded execution
-traces of real applications (§3).  This module provides the same workflow
-for this reproduction — capture any dynamic stream (synthetic or
-otherwise) into a compact ``.npz`` trace file, and replay it later without
-the generating program:
+traces of real applications (§3).  Every machine model of an application
+walks the bit-identical generated stream, so the experiment engine
+compiles each (app, seed, length) stream once — :func:`compile_artifact`
+— into a content-keyed directory under the artifact cache
+(``~/.cache/repro/artifacts`` beside the result store,
+:class:`ArtifactCache`) and replays it for every grid cell:
 
     >>> from repro.workloads import application
-    >>> from repro.workloads.tracefile import capture_trace, TraceFile
-    >>> wl = application("swim").build()
-    >>> capture_trace(wl.stream(100_000), "swim.trace.npz")
-    >>> trace = TraceFile.load("swim.trace.npz")
-    >>> result = ParrotSimulator(config).simulate(
-    ...     trace.stream(), app_name="swim")
+    >>> from repro.workloads.tracefile import ArtifactCache
+    >>> artifact = ArtifactCache().get_or_compile(application("swim"), 100_000)
+    >>> result = ParrotSimulator(config).simulate(artifact)
 
-A trace file is self-contained: it stores the static image of every
-*executed* instruction (addresses, lengths, classes, complete uop
-encodings) plus the dynamic record (instruction index, branch outcome,
-successor, effective memory address), so third-party traces can be
-converted into this format and run on all machine models.
-
-The second half of this module is the **compiled trace artifact** layer
-used by the experiment engine's grid fast path.  Every machine model of an
-application walks the bit-identical generated stream, so the engine
-compiles each (app, seed, length) stream once — :func:`compile_artifact` —
-into a content-keyed directory under the artifact cache
-(``~/.cache/repro/artifacts`` beside the result store) and replays it for
-every grid cell.  Unlike a portable trace file, an artifact additionally
-persists the *full* program prewarm image (all static code addresses and
-data ranges, in program order), so an artifact-driven run starts from the
-exact hierarchy state a generator-driven run would; the dynamic record is
-a flat uncompressed ``.npy`` loaded with ``mmap_mode="r"``, so parallel
-pool workers replaying the same application share its pages through the
-page cache instead of each re-walking the stream.
+An artifact stores the static image of every *executed* instruction
+(addresses, lengths, classes, complete uop encodings), the dynamic record
+(instruction index, branch outcome, successor, effective memory address)
+and the *full* program prewarm image (all static code addresses and data
+ranges, in program order), so an artifact-driven run starts from the
+exact hierarchy state a generator-driven run would.  The dynamic record
+is a flat uncompressed ``.npy`` loaded with ``mmap_mode="r"``, so
+parallel pool workers replaying the same application share its pages
+through the page cache instead of each re-walking the stream.
 """
 
 from __future__ import annotations
@@ -57,11 +46,7 @@ from repro.isa.opcodes import (
     InstrClass,
     UopKind,
 )
-from repro.isa.registers import REG_NONE
 from repro.workloads.stream import _DYN_CTI_FLOWS, InstructionStream
-
-#: Trace-file format version (stored in the archive for forward safety).
-FORMAT_VERSION = 1
 
 #: Compiled-trace-artifact format version.  Part of the artifact key, so
 #: bumping it silently invalidates every cached artifact (same mechanism
@@ -151,120 +136,6 @@ def _decode_statics(data) -> list[MacroInstruction]:
             )
         )
     return instructions
-
-
-def capture_trace(
-    stream: InstructionStream,
-    path: str | pathlib.Path,
-) -> int:
-    """Record ``stream`` into a trace file; returns instructions captured.
-
-    Only the static instructions actually executed are stored, so cold
-    code that never runs costs nothing.
-    """
-    records: list[tuple[int, bool, int, int | None]] = []
-    static_index: dict[int, int] = {}
-    statics: list[MacroInstruction] = []
-    while not stream.exhausted:
-        dyn = stream.take()
-        address = dyn.address
-        index = static_index.get(address)
-        if index is None:
-            index = len(statics)
-            static_index[address] = index
-            statics.append(dyn.instr)
-        records.append((index, dyn.taken, dyn.next_address, dyn.mem_addr))
-    if not records:
-        raise WorkloadError("cannot capture an empty stream")
-
-    # ---- dynamic arrays ------------------------------------------------------
-    d_index = np.array([r[0] for r in records], dtype=np.uint32)
-    d_taken = np.array([r[1] for r in records], dtype=np.bool_)
-    d_next = np.array([r[2] for r in records], dtype=np.uint64)
-    d_mem = np.array(
-        [r[3] if r[3] is not None else int(_NO_MEM) for r in records],
-        dtype=np.uint64,
-    )
-
-    np.savez_compressed(
-        path,
-        version=np.array([FORMAT_VERSION]),
-        **_static_arrays(statics),
-        d_index=d_index, d_taken=d_taken, d_next=d_next, d_mem=d_mem,
-    )
-    return len(records)
-
-
-class TraceFile:
-    """A loaded execution trace, replayable as an instruction stream."""
-
-    def __init__(self, instructions: list[MacroInstruction],
-                 records: "np.ndarray", taken: "np.ndarray",
-                 next_addresses: "np.ndarray", mem: "np.ndarray"):
-        self.instructions = instructions
-        self._index = records
-        self._taken = taken
-        self._next = next_addresses
-        self._mem = mem
-
-    # -- construction ---------------------------------------------------------
-
-    @classmethod
-    def load(cls, path: str | pathlib.Path) -> "TraceFile":
-        """Load a trace file written by :func:`capture_trace`."""
-        with np.load(path) as data:
-            version = int(data["version"][0])
-            if version != FORMAT_VERSION:
-                raise WorkloadError(
-                    f"trace file {path}: format version {version} unsupported"
-                )
-            instructions = _decode_statics(data)
-            return cls(
-                instructions,
-                data["d_index"].copy(),
-                data["d_taken"].copy(),
-                data["d_next"].copy(),
-                data["d_mem"].copy(),
-            )
-
-    # -- replay ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def _iterate(self):
-        instructions = self.instructions
-        no_mem = int(_NO_MEM)
-        for i in range(len(self._index)):
-            mem = int(self._mem[i])
-            yield DynamicInstruction(
-                instructions[int(self._index[i])],
-                taken=bool(self._taken[i]),
-                next_address=int(self._next[i]),
-                mem_addr=None if mem == no_mem else mem,
-            )
-
-    def stream(self, limit: int | None = None) -> InstructionStream:
-        """Replay the trace as an :class:`InstructionStream`."""
-        n = len(self)
-        if limit is None or limit > n:
-            limit = n
-        return InstructionStream(self._iterate(), limit)
-
-    def touched_data_ranges(self, line_bytes: int = 64) -> list[tuple[int, int]]:
-        """Line-granular data ranges touched by the trace (for prewarming)."""
-        valid = self._mem[self._mem != _NO_MEM]
-        if valid.size == 0:
-            return []
-        lines = np.unique(valid // line_bytes)
-        return [(int(line) * line_bytes, line_bytes) for line in lines]
-
-    def code_addresses(self) -> list[int]:
-        """All static instruction addresses (for prewarming the L1I)."""
-        return [instr.address for instr in self.instructions]
-
-
-# -- compiled trace artifacts --------------------------------------------------
 
 
 #: Dynamic-record row layout of an artifact's ``dyn.npy`` (one row per
@@ -751,7 +622,7 @@ class TraceArtifact:
         Segmentation depends only on the recorded stream (never on the
         simulated machine), so the partition is computed once per loaded
         artifact and shared by every simulator replaying it — the
-        cross-model amortization the engine's worker memos rely on.  The
+        cross-model amortization the engine's chunk runner relies on.  The
         returned list's *identity* doubles as the segment-list fingerprint
         for :class:`~repro.core.simulator.ColdPlanCache`.  Callers must
         not mutate it.

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core.simulator import ParrotSimulator, RunOptions, segment_stream
 from repro.errors import WorkloadError
 from repro.experiments.engine import ExperimentEngine, ResultStore
-from repro.experiments.runner import ExperimentRunner, Scale
+from repro.experiments.runner import ExperimentRunner
 from repro.models.configs import model_config
 from repro.sampling import SamplingConfig
 from repro.workloads import tracefile as tracefile_mod
@@ -46,6 +46,8 @@ def _compile(app_name: str, root, length: int = LENGTH) -> TraceArtifact:
 
 
 def _rows(records):
+    # MacroInstruction compares by value (address, length, class, target
+    # and every uop's fields), so a row match pins the static image too.
     return [(r.instr, r.taken, r.next_address, r.mem_addr) for r in records]
 
 
@@ -66,6 +68,17 @@ class TestRoundTrip:
         direct = app.build().stream(length).take_batch(length)
         artifact = compile_artifact(app, app.seed, length, root=tmp_path)
         assert _rows(artifact.stream().take_batch(length)) == _rows(direct)
+
+    def test_only_executed_statics_stored(self, tmp_path):
+        app = application("gzip")
+        workload = app.build()
+        executed = {r.address for r in workload.stream(LENGTH)
+                    .take_batch(LENGTH)}
+        artifact = _compile("gzip", tmp_path)
+        assert sorted(i.address for i in artifact.instructions) == \
+            sorted(executed)
+        assert len(artifact.instructions) < \
+            workload.stats.static_instructions
 
     def test_limit_clamps_to_artifact_length(self, tmp_path):
         artifact = _compile("gzip", tmp_path)
@@ -215,26 +228,31 @@ class TestEngineAccounting:
         assert again.artifact_compiles == 0
         assert again.artifact_hits == 2
 
-    def test_artifacts_off_disables_cache(self, tmp_path):
-        engine = ExperimentEngine(1200, artifacts=False)
-        engine.run(self.TASKS[:2])
-        assert engine.artifact_cache is None
-        assert engine.artifact_compiles == 0 and engine.artifact_hits == 0
+    @staticmethod
+    def _generator_grid(tasks, length, options=None):
+        """The grid walked straight out of the workload generator."""
+        return {
+            (model, app): ParrotSimulator(model_config(model)).simulate(
+                application(app), options, length=length
+            )
+            for model, app in tasks
+        }
 
     def test_artifact_grid_matches_generator_grid(self, tmp_path):
-        with_artifacts = ExperimentEngine(1200, artifact_root=tmp_path)
-        without = ExperimentEngine(1200, artifacts=False)
-        assert with_artifacts.run(self.TASKS) == without.run(self.TASKS)
+        engine = ExperimentEngine(1200, artifact_root=tmp_path)
+        assert engine.run(self.TASKS) == \
+            self._generator_grid(self.TASKS, 1200)
 
     def test_sampled_artifact_grid_matches_generator_grid(self, tmp_path):
         sampling = SamplingConfig(detail=500, gap=2000, warmup=200,
                                   func_warm=1000)
-        with_artifacts = ExperimentEngine(
+        engine = ExperimentEngine(
             8000, sampling=sampling, artifact_root=tmp_path
         )
-        without = ExperimentEngine(8000, sampling=sampling, artifacts=False)
         tasks = self.TASKS[:2]
-        assert with_artifacts.run(tasks) == without.run(tasks)
+        assert engine.run(tasks) == self._generator_grid(
+            tasks, 8000, RunOptions(sampling=sampling)
+        )
 
     def test_parallel_artifact_grid_matches_serial(self, tmp_path):
         serial = ExperimentEngine(1200, artifact_root=tmp_path / "a")
@@ -265,11 +283,3 @@ class TestRunnerPassthrough:
         runner.grid(["N", "TON"])
         assert runner.artifact_compiles == 2
         assert runner.artifact_hits == 0
-
-    def test_artifacts_off_passthrough(self):
-        runner = ExperimentRunner(length=1200, max_apps=2, artifacts=False)
-        assert runner.engine.artifact_cache is None
-        scaled = ExperimentRunner.from_scale(
-            Scale(apps=2, length=1200, jobs=1, cache=False, artifacts=False)
-        )
-        assert scaled.engine.artifact_cache is None

@@ -250,7 +250,6 @@ class TestShardParser:
         )
         assert args.plan == "plan.json" and args.index == 1
         assert args.jobs is None and args.store is None
-        assert args.no_artifacts is False
 
     def test_merge_takes_source_list(self):
         args = build_parser().parse_args(

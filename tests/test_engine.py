@@ -95,20 +95,6 @@ class TestScale:
         args = Namespace(apps="2", length=100, jobs=1, no_cache=False)
         assert Scale.from_args(args).cache is False
 
-    def test_artifacts_flag(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_ARTIFACTS", raising=False)
-        assert Scale(apps=1, length=10, jobs=1).artifacts is True
-        monkeypatch.setenv("REPRO_BENCH_ARTIFACTS", "0")
-        assert Scale.from_environment().artifacts is False
-        monkeypatch.delenv("REPRO_BENCH_ARTIFACTS", raising=False)
-        args = Namespace(apps="2", length=100, jobs=1, no_cache=False,
-                         no_artifacts=True)
-        assert Scale.from_args(args).artifacts is False
-        args.no_artifacts = False
-        assert Scale.from_args(args).artifacts is True
-        monkeypatch.setenv("REPRO_BENCH_ARTIFACTS", "off")
-        assert Scale.from_args(args).artifacts is False
-
     def test_parse_apps(self):
         assert parse_apps("all") is None
         assert parse_apps("44") is None
@@ -516,6 +502,45 @@ class TestFaultHandling:
         assert set(results) == set(tasks)
         assert seen == sorted(seen), f"progress went backwards: {seen}"
         assert seen[-1] == len(tasks)
+
+
+class TestSerialPath:
+    """The in-process path runs the pool's chunk code and failure contract."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_custom_task_fn_is_called(self, jobs):
+        # jobs=2 with a single missing cell also runs in-process.
+        calls = []
+
+        def fake(model, app, length):
+            calls.append((model, app, length))
+            return _dummy_result(model, app, length).to_dict()
+
+        engine = ExperimentEngine(500, jobs=jobs, task_fn=fake)
+        results = engine.run([("N", "swim")])
+        assert calls == [("N", "swim", 500)]
+        assert results == {("N", "swim"): _dummy_result("N", "swim", 500)}
+        assert engine.simulations_run == 1
+
+    def test_task_failure_names_the_cell(self):
+        engine = ExperimentEngine(100, task_fn=_raising_task)
+        with pytest.raises(ExperimentError) as excinfo:
+            engine.run([("TON", "gzip"), ("TON", "swim")])
+        message = str(excinfo.value)
+        assert "TON/swim" in message
+        assert "ValueError: synthetic worker failure" in message
+        assert isinstance(excinfo.value.__cause__, ValueError)
+
+    def test_simulation_failure_names_the_cell(self, tmp_path, monkeypatch):
+        def boom(self, source, options=None, **kwargs):
+            raise RuntimeError("synthetic simulation failure")
+
+        monkeypatch.setattr(engine_mod.ParrotSimulator, "simulate", boom)
+        engine = ExperimentEngine(500, artifact_root=tmp_path)
+        with pytest.raises(ExperimentError) as excinfo:
+            engine.run([("TON", "swim")])
+        assert "TON/swim" in str(excinfo.value)
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
 
 
 class TestChunkPlanning:
