@@ -10,7 +10,7 @@ Examples::
     python -m repro list
 
 Grid evaluation fans out over ``--jobs`` worker processes (default: all
-cores, or ``REPRO_BENCH_JOBS``) and persists every finished run in the
+usable cores) and persists every finished run in the
 result store under ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``), so
 a repeated sweep or figure re-reads results instead of re-simulating;
 ``--no-cache`` bypasses the store for one invocation and ``repro cache
@@ -58,6 +58,7 @@ examples:
   repro sweep --models N,TON --length 200000 --sampling
   repro figure fig4_1 headline --apps all
   repro figure fig4_2 --no-cache
+  repro figure claims --apps all
   repro shard plan --models all --apps 8 --shards 2 --output plan.json
   repro shard run plan.json --index 0 --store /tmp/shard0
   repro shard merge --into ~/.cache/repro /tmp/shard0 /tmp/shard1 --plan plan.json
@@ -66,17 +67,13 @@ examples:
   repro cache clear
 
 environment:
-  REPRO_BENCH_APPS / REPRO_BENCH_LENGTH   default grid scale
-  REPRO_BENCH_JOBS                        default worker count (all cores)
-  REPRO_BENCH_CACHE=0                     disable the result store
-  REPRO_BENCH_SAMPLING                    default sampling regime (off)
-  REPRO_BENCH_BACKEND                     default execution backend (scalar)
-  REPRO_CACHE_DIR                         cache location (~/.cache/repro)
+  REPRO_CACHE_DIR       cache location (~/.cache/repro)
+  REPRO_BENCH_TIMEOUT   grid stall timeout in seconds
 """
 
 #: Process-wide runner registry: one memoised grid per Scale, so every
-#: figure/sweep command of an invocation (and repeated in-process calls,
-#: e.g. the benchmark harness) shares one set of simulations.
+#: figure/sweep command of an invocation (and repeated in-process calls)
+#: shares one set of simulations.
 _RUNNERS: dict[Scale, ExperimentRunner] = {}
 
 
@@ -111,7 +108,7 @@ def _add_scale_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=_positive_int, default=None, metavar="N",
         help="worker processes for grid evaluation "
-             "(default: REPRO_BENCH_JOBS or all cores)",
+             "(default: all usable cores)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -126,7 +123,7 @@ def _add_run_option_args(parser: argparse.ArgumentParser) -> None:
         metavar="SPEC",
         help="sampled simulation: 'on' (bare flag), 'off', or "
              "'DETAIL:GAP:WARMUP[:FUNC_WARM][:CONFIDENCE]' "
-             "(default: REPRO_BENCH_SAMPLING or off)",
+             "(default: off)",
     )
     _add_backend_arg(parser)
 
@@ -138,7 +135,7 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
         help="hot-trace executor: scalar is the reference; compiled "
              "replays each hot trace through generated code and is "
              "bit-identical; cold code runs on the scalar executor "
-             "under both (default: REPRO_BENCH_BACKEND or scalar)",
+             "under both (default: scalar)",
     )
 
 
@@ -498,8 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     srun.add_argument("--index", type=int, required=True, metavar="I",
                       help="shard to execute (0-based)")
     srun.add_argument("--jobs", type=_positive_int, default=None, metavar="N",
-                      help="worker processes "
-                           "(default: REPRO_BENCH_JOBS or usable cores)")
+                      help="worker processes (default: usable cores)")
     srun.add_argument("--store", default=None, metavar="DIR",
                       help="result-store root "
                            "(default: $REPRO_CACHE_DIR or ~/.cache/repro)")
@@ -535,8 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--jobs", type=_positive_int, default=None,
                        metavar="N",
                        help="worker processes for submitted sweep/figure "
-                            "jobs (default: REPRO_BENCH_JOBS or usable "
-                            "cores)")
+                            "jobs (default: usable cores)")
     serve.add_argument("--store", default=None, metavar="DIR",
                        help="result-store root "
                             "(default: $REPRO_CACHE_DIR or ~/.cache/repro)")

@@ -37,9 +37,9 @@ simulators and artifacts across everything a worker executes.
 
 Scale knobs (application count, run length, worker count, cache on/off,
 sampling regime, execution backend) are unified in the :class:`Scale`
-dataclass; :func:`resolve_run_options` is the single seam where
-sampling/backend specs from the environment (``REPRO_BENCH_*``) or CLI
-arguments become a :class:`~repro.core.simulator.RunOptions`.
+dataclass, built from CLI arguments; :func:`resolve_run_options` is the
+single seam where sampling/backend specs become a
+:class:`~repro.core.simulator.RunOptions`.
 """
 
 from __future__ import annotations
@@ -71,14 +71,8 @@ from repro.sampling.config import SamplingConfig
 from repro.workloads.suite import app_seed, application
 from repro.workloads.tracefile import ArtifactCache, TraceArtifact
 
-#: Environment variables controlling benchmark scale and the result store.
-ENV_APPS = "REPRO_BENCH_APPS"
-ENV_LENGTH = "REPRO_BENCH_LENGTH"
-ENV_JOBS = "REPRO_BENCH_JOBS"
-ENV_CACHE = "REPRO_BENCH_CACHE"
+#: Environment variable setting the engine's stall timeout in seconds.
 ENV_TIMEOUT = "REPRO_BENCH_TIMEOUT"
-ENV_SAMPLING = "REPRO_BENCH_SAMPLING"
-ENV_BACKEND = "REPRO_BENCH_BACKEND"
 
 DEFAULT_APPS = 15
 DEFAULT_LENGTH = 20_000
@@ -91,7 +85,7 @@ ProgressFn = Callable[[int, int, str, str], None]
 
 
 def default_jobs() -> int:
-    """Worker count: ``REPRO_BENCH_JOBS`` if set, else the usable cores.
+    """Worker count: the usable cores.
 
     "Usable" respects the process CPU-affinity mask
     (``os.sched_getaffinity``) where the platform exposes one: a
@@ -99,12 +93,6 @@ def default_jobs() -> int:
     instead of oversubscribing 64.  Platforms without affinity (macOS,
     Windows) fall back to ``os.cpu_count()``.
     """
-    raw = os.environ.get(ENV_JOBS, "").strip()
-    if raw:
-        jobs = int(raw)
-        if jobs < 1:
-            raise ValueError(f"{ENV_JOBS} must be >= 1, got {jobs}")
-        return jobs
     affinity = getattr(os, "sched_getaffinity", None)
     if affinity is not None:
         try:
@@ -122,13 +110,6 @@ def parse_apps(text: str) -> int | None:
     if count < 1:
         raise ValueError(f"application count must be >= 1, got {count}")
     return count
-
-
-def _env_flag(name: str, default: bool = True) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "no", "off", "")
 
 
 def parse_backend(spec: str | None) -> ExecutionBackend:
@@ -156,16 +137,12 @@ def resolve_run_options(
 ) -> RunOptions:
     """Parse user-facing regime specs into a :class:`RunOptions`.
 
-    The single spec-parsing seam shared by the CLI, the engine and the
-    benchmark runner: ``sampling_spec`` follows
-    :meth:`~repro.sampling.config.SamplingConfig.parse` (falling back to
-    ``REPRO_BENCH_SAMPLING``), ``backend_spec`` follows
-    :func:`parse_backend` (falling back to ``REPRO_BENCH_BACKEND``).
+    The single spec-parsing seam shared by the CLI and ``repro serve``:
+    ``sampling_spec`` follows
+    :meth:`~repro.sampling.config.SamplingConfig.parse` and
+    ``backend_spec`` follows :func:`parse_backend`; ``None`` selects full
+    detail on the scalar backend.
     """
-    if sampling_spec is None:
-        sampling_spec = os.environ.get(ENV_SAMPLING)
-    if backend_spec is None:
-        backend_spec = os.environ.get(ENV_BACKEND)
     return RunOptions(
         sampling=SamplingConfig.parse(sampling_spec),
         backend=parse_backend(backend_spec),
@@ -193,38 +170,11 @@ class Scale:
     sampling: SamplingConfig | None = None
     backend: ExecutionBackend = ExecutionBackend.SCALAR
 
-    def run_options(self) -> RunOptions:
-        """The per-run regime knobs as a :class:`RunOptions`."""
-        return RunOptions(sampling=self.sampling, backend=self.backend)
-
-    @classmethod
-    def from_environment(cls) -> "Scale":
-        """Resolve every knob from the ``REPRO_BENCH_*`` variables.
-
-        ``REPRO_BENCH_APPS`` (count or ``all``), ``REPRO_BENCH_LENGTH``,
-        ``REPRO_BENCH_JOBS`` (default: all cores), ``REPRO_BENCH_CACHE``
-        (``0`` disables the result store), ``REPRO_BENCH_SAMPLING``
-        (``off``/``on``/``D:G:W[:F][:CONF]``; see
-        :meth:`~repro.sampling.config.SamplingConfig.parse`) and
-        ``REPRO_BENCH_BACKEND`` (``scalar``/``compiled``).
-        """
-        options = resolve_run_options()
-        return cls(
-            apps=parse_apps(os.environ.get(ENV_APPS, str(DEFAULT_APPS))),
-            length=int(os.environ.get(ENV_LENGTH, str(DEFAULT_LENGTH))),
-            jobs=default_jobs(),
-            cache=_env_flag(ENV_CACHE),
-            sampling=options.sampling,
-            backend=options.backend,
-        )
-
     @classmethod
     def from_args(cls, args: Any) -> "Scale":
         """Resolve from parsed CLI arguments (``--apps/--length/--jobs/
-        --no-cache/--sampling/--backend``); unset
-        ``--jobs`` falls back to the environment, and absent
-        ``--sampling``/``--backend`` fall back to
-        ``REPRO_BENCH_SAMPLING``/``REPRO_BENCH_BACKEND``."""
+        --no-cache/--sampling/--backend``); unset ``--jobs`` means all
+        usable cores."""
         jobs = getattr(args, "jobs", None)
         no_cache = bool(getattr(args, "no_cache", False))
         options = resolve_run_options(
@@ -235,7 +185,7 @@ class Scale:
             apps=parse_apps(args.apps),
             length=args.length,
             jobs=default_jobs() if jobs is None else jobs,
-            cache=not no_cache and _env_flag(ENV_CACHE),
+            cache=not no_cache,
             sampling=options.sampling,
             backend=options.backend,
         )

@@ -8,7 +8,8 @@ means, the overall mean, and (where the paper shows them) the three killer
 applications flash, wupwise and perlbmk.
 
 ``EXPERIMENTS.md`` records the paper-reported value next to each measured
-value; the benchmark suite prints these tables.
+value; ``repro figure`` prints these tables, and its ``claims`` entry checks
+the paper's shape claims (:mod:`repro.experiments.claims`) against them.
 """
 
 from __future__ import annotations
@@ -21,6 +22,12 @@ from repro.experiments.aggregate import (
     arithmetic_mean,
     by_suite,
     paired_ratio_by_suite,
+)
+from repro.experiments.claims import (
+    ClaimOutcome,
+    check_claims,
+    claim_figures,
+    format_claims,
 )
 from repro.experiments.runner import ExperimentRunner
 from repro.models.configs import MODEL_NAMES, model_config
@@ -276,10 +283,20 @@ BREAKDOWN_APPS = ("flash", "swim", "gcc")
 BREAKDOWN_MODELS = ("N", "TON", "TOS")
 
 
+def _energy_shares(result: SimulationResult) -> dict[str, float]:
+    assert result.energy is not None
+    return {
+        component: result.energy.component_share(component)
+        for component in COMPONENTS
+        if result.energy.by_component.get(component, 0.0) > 0
+    }
+
+
 def fig4_11(runner: ExperimentRunner) -> FigureData:
     """Figure 4.11: energy breakdown by component for {N, TON, TOS}.
 
-    Shown for flash, swim and gcc, as fractional shares of total energy.
+    Shown for flash, swim and gcc, as fractional shares of total energy,
+    plus each model's mean shares over the whole roster (``Overall/<model>``).
     """
     fig = FigureData(
         figure_id="Figure 4.11",
@@ -288,14 +305,16 @@ def fig4_11(runner: ExperimentRunner) -> FigureData:
     )
     for app_name in BREAKDOWN_APPS:
         for model in BREAKDOWN_MODELS:
-            result = runner.result(model, app_name)
-            assert result.energy is not None
-            shares = {
-                component: result.energy.component_share(component)
-                for component in COMPONENTS
-                if result.energy.by_component.get(component, 0.0) > 0
-            }
-            fig.series[f"{app_name}/{model}"] = shares
+            fig.series[f"{app_name}/{model}"] = _energy_shares(
+                runner.result(model, app_name)
+            )
+    for model in BREAKDOWN_MODELS:
+        shares = [_energy_shares(r) for r in runner.results(model)]
+        fig.series[f"{OVERALL}/{model}"] = {
+            component: arithmetic_mean(s.get(component, 0.0) for s in shares)
+            for component in COMPONENTS
+            if any(component in s for s in shares)
+        }
     fig.notes = (
         "paper shape: front-end share diminishes N -> TON -> TOS; trace "
         "manipulation ~10% of total"
@@ -368,6 +387,36 @@ def headline(runner: ExperimentRunner) -> FigureData:
     return fig
 
 
+@dataclass(slots=True)
+class ClaimsFigure(FigureData):
+    """The claims table checked against one grid; renders as a text report."""
+
+    outcomes: list[ClaimOutcome] = field(default_factory=list)
+
+    def format(self) -> str:
+        return format_claims(self.outcomes)
+
+
+def claims(runner: ExperimentRunner) -> ClaimsFigure:
+    """Every row of :data:`~repro.experiments.claims.CLAIMS` on this grid.
+
+    The full-sweep report: ``repro figure claims --apps all``.  The
+    ``measured`` series carries each claim's checked quantity.
+    """
+    figures = {
+        name: FIGURE_GENERATORS[name](runner) for name in claim_figures()
+    }
+    outcomes = check_claims(figures)
+    fig = ClaimsFigure(
+        figure_id="Claims", title="the paper's shape claims", unit="value",
+        outcomes=outcomes,
+    )
+    fig.series["measured"] = {
+        o.claim.id: o.value for o in outcomes if o.value is not None
+    }
+    return fig
+
+
 #: All per-figure generators keyed by their experiment id (DESIGN.md index).
 FIGURE_GENERATORS = {
     "fig4_1": fig4_1,
@@ -382,4 +431,5 @@ FIGURE_GENERATORS = {
     "fig4_10": fig4_10,
     "fig4_11": fig4_11,
     "headline": headline,
+    "claims": claims,
 }

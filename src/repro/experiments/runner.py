@@ -9,10 +9,10 @@ fan-out (``jobs``) and the persistent on-disk result store (``cache``) so
 repeated invocations re-read results instead of re-simulating.
 
 Scale is controlled explicitly or via :class:`~repro.experiments.engine.Scale`
-(the ``REPRO_BENCH_*`` environment variables for the benchmark harness):
-the paper simulates 30-100M instructions per application; our default is
-20k instructions over a balanced subset, enough for every qualitative
-shape, and the full 44-application roster is one knob away.
+(the ``repro`` CLI's ``--apps/--length/...`` flags): the paper simulates
+30-100M instructions per application; our default is 20k instructions
+over a balanced subset, enough for every qualitative shape, and the full
+44-application roster is one knob away.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from repro.core.results import SimulationResult
 from repro.experiments.engine import (
     DEFAULT_APPS,
     DEFAULT_LENGTH,
-    ENV_APPS,
-    ENV_LENGTH,
     ExperimentEngine,
     ProgressFn,
     ResultStore,
@@ -38,8 +36,6 @@ from repro.workloads.suite import Application, application, benchmark_suite
 __all__ = [
     "DEFAULT_APPS",
     "DEFAULT_LENGTH",
-    "ENV_APPS",
-    "ENV_LENGTH",
     "ExperimentRunner",
 ]
 
@@ -99,11 +95,6 @@ class ExperimentRunner:
             backend=scale.backend,
             **kwargs,
         )
-
-    @classmethod
-    def from_environment(cls) -> "ExperimentRunner":
-        """Build a runner scaled by the ``REPRO_BENCH_*`` variables."""
-        return cls.from_scale(Scale.from_environment())
 
     # -- execution --------------------------------------------------------
 

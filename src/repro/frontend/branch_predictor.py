@@ -79,10 +79,6 @@ class BranchPredictor:
     def _index(self, address: int) -> int:
         return ((address >> 1) ^ (self._history & self._history_mask)) & self._index_mask
 
-    def predict_conditional(self, address: int) -> bool:
-        """Predict the direction of the conditional branch at ``address``."""
-        return self._counters[self._index(address)] >= 2
-
     def update_conditional(self, address: int, taken: bool) -> bool:
         """Train on the resolved direction; returns True if mispredicted.
 

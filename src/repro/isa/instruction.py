@@ -179,15 +179,6 @@ class DynamicInstruction:
         """True when the underlying instruction is a CTI."""
         return self.instr.is_cti
 
-    @property
-    def effective_address(self) -> int:
-        """Address this instance's memory uops access.
-
-        Falls back to the code address for instructions whose stream did
-        not record one (harmless: it is only ever used as a cache key).
-        """
-        return self.mem_addr if self.mem_addr is not None else self.instr.address
-
 
 @dataclass(slots=True)
 class DisassemblyLine:

@@ -14,7 +14,7 @@ Pass classes (§2.4):
   critical-path scheduling.
 
 Either class can be disabled for the ablation studies (the companion-paper
-breakdown the repo's ``benchmarks/test_ablation_passes.py`` mirrors).
+breakdown ``tests/test_ablations.py::test_ablation_passes`` mirrors).
 """
 
 from __future__ import annotations

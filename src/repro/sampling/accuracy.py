@@ -6,10 +6,8 @@ validation — the full-detail reference runs — and evaluates any
 per-metric point errors, confidence-interval coverage (overall and, for
 adaptive runs, per phase) and wall-clock speedup.  It is the single
 implementation shared by the ``tools/validate_sampling.py`` CLI harness,
-the accuracy-regression suite (``tests/test_sampling_accuracy.py``), the
-CI ``adaptive-sampling-smoke`` job and the benchmark that archives the
-speedup/error frontier into ``BENCH_grid.json``
-(``benchmarks/test_perf_sampling.py``) — the numbers in the EXPERIMENTS.md
+the accuracy-regression suite (``tests/test_sampling_accuracy.py``) and
+the CI ``adaptive-sampling-smoke`` job — the numbers in the EXPERIMENTS.md
 sampling sections all come from here.
 
 Baselines are like-for-like: the full-detail reference runs on the *same*
@@ -144,7 +142,7 @@ class PairAccuracy:
                 and self.epi_error <= bounds["epi"])
 
     def to_row(self) -> dict:
-        """Flat JSON-ready row for frontier archives (``BENCH_grid.json``)."""
+        """Flat JSON-ready row of one (pair, regime) frontier point."""
         return {
             "app": self.app,
             "model": self.model,
@@ -261,8 +259,7 @@ class AccuracyHarness:
         best = math.inf
         # Collector pauses land disproportionately on the short sampled
         # runs (a long-lived test process carries a large live heap), so
-        # the timed region runs with automatic GC off — same policy as
-        # pytest-benchmark.
+        # the timed region runs with automatic GC off.
         gc_was_enabled = gc.isenabled()
         try:
             for _ in range(self.repeat):

@@ -220,7 +220,7 @@ class SamplingConfig:
 
     @classmethod
     def parse(cls, text: str | None) -> "SamplingConfig | None":
-        """Parse a CLI/environment sampling spec.
+        """Parse a CLI sampling spec.
 
         ``off``/``none``/``0`` (or ``None``) disable sampling; ``on`` (and
         friends) select the defaults; ``DETAIL:GAP:WARMUP`` sets the main

@@ -330,21 +330,9 @@ class PhaseTracker:
 
     # -- inspection --------------------------------------------------------
 
-    @property
-    def total_periods(self) -> int:
-        return sum(self._periods.values())
-
-    @property
-    def total_measured(self) -> int:
-        return len(self._measurements)
-
     def phases(self) -> list[int]:
         """Phase ids in first-observed order."""
         return list(self._periods)
-
-    def periods_of(self, phase: int) -> int:
-        """Number of periods classified into ``phase`` (0 if unseen)."""
-        return self._periods.get(phase, 0)
 
     def coverage(self, phase: int) -> list[int]:
         """Per-measurement coverage counts of ``phase``, in record order.

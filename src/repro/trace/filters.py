@@ -28,11 +28,6 @@ class FilterStats:
     evictions: int = 0
     hits: int = 0           #: accesses that found their TID resident
 
-    @property
-    def trigger_rate(self) -> float:
-        """Fraction of accesses that crossed the threshold."""
-        return self.triggers / self.accesses if self.accesses else 0.0
-
 
 class CounterFilter:
     """An LRU counter cache with a saturation threshold.

@@ -123,10 +123,3 @@ class TraceCache:
         """Snapshot of resident traces, LRU to MRU."""
         flush_lru_refreshes(self._traces, self._pending_mru)
         return list(self._traces.values())
-
-    def utilization_histogram(self) -> dict[int, int]:
-        """Histogram of per-trace execution counts (Figure 4.10 support)."""
-        histogram: dict[int, int] = {}
-        for trace in self._traces.values():
-            histogram[trace.exec_count] = histogram.get(trace.exec_count, 0) + 1
-        return histogram

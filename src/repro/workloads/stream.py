@@ -829,30 +829,3 @@ class InstructionStream:
             skipped += n
         self.consumed += skipped
         return skipped
-
-    def drain(self) -> Iterator[DynamicInstruction]:
-        """Consume the rest of the stream, in order.
-
-        Equivalent to calling :meth:`take` until :attr:`exhausted`, without
-        the per-instruction buffer round-trip — the bulk path used by the
-        simulator's segmentation loop.  ``consumed`` and the remaining
-        budget stay accurate at every yield, so interleaving ``peek`` or
-        ``take`` with a partially-consumed ``drain()`` remains valid.
-        """
-        buffer = self._buffer
-        walker = self._walker
-        while True:
-            if buffer:
-                self.consumed += 1
-                yield buffer.popleft()
-            elif self._remaining > 0:
-                try:
-                    dyn = next(walker)
-                except StopIteration:
-                    self._remaining = 0
-                    return
-                self._remaining -= 1
-                self.consumed += 1
-                yield dyn
-            else:
-                return

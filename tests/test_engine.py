@@ -31,69 +31,33 @@ FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 
 
 class TestScale:
-    def test_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_JOBS", raising=False)
+    def test_defaults(self):
         scale = Scale()
         assert scale.apps == DEFAULT_APPS
         assert scale.length == DEFAULT_LENGTH
         assert scale.jobs == default_jobs()
         assert scale.cache is True
 
-    def test_from_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_APPS", "all")
-        monkeypatch.setenv("REPRO_BENCH_LENGTH", "1234")
-        monkeypatch.setenv("REPRO_BENCH_JOBS", "3")
-        monkeypatch.setenv("REPRO_BENCH_CACHE", "0")
-        monkeypatch.delenv("REPRO_BENCH_SAMPLING", raising=False)
-        scale = Scale.from_environment()
-        assert scale == Scale(apps=None, length=1234, jobs=3, cache=False)
-
-    def test_sampling_from_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SAMPLING", "2000:18000:1000")
-        assert Scale.from_environment().sampling == SamplingConfig(
-            detail=2000, gap=18000, warmup=1000
-        )
-        monkeypatch.setenv("REPRO_BENCH_SAMPLING", "off")
-        assert Scale.from_environment().sampling is None
-
-    def test_sampling_from_args_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SAMPLING", "on")
-        monkeypatch.delenv("REPRO_BENCH_CACHE", raising=False)
+    def test_sampling_from_args(self):
         args = Namespace(apps="2", length=100, jobs=1, no_cache=False,
                          sampling="2000:18000:1000")
         assert Scale.from_args(args).sampling == SamplingConfig(
             detail=2000, gap=18000, warmup=1000
         )
-        args.sampling = None  # no CLI flag: the environment wins
-        assert Scale.from_args(args).sampling == SamplingConfig()
+        args.sampling = None  # no --sampling flag: full detail
+        assert Scale.from_args(args).sampling is None
 
-    def test_from_environment_defaults(self, monkeypatch):
-        for var in ("REPRO_BENCH_APPS", "REPRO_BENCH_LENGTH",
-                    "REPRO_BENCH_JOBS", "REPRO_BENCH_CACHE"):
-            monkeypatch.delenv(var, raising=False)
-        scale = Scale.from_environment()
-        assert scale.apps == DEFAULT_APPS and scale.length == DEFAULT_LENGTH
-        assert scale.jobs >= 1 and scale.cache is True
-
-    def test_from_args(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_CACHE", raising=False)
+    def test_from_args(self):
         args = Namespace(apps="7", length=5000, jobs=2, no_cache=True)
         assert Scale.from_args(args) == Scale(
             apps=7, length=5000, jobs=2, cache=False
         )
 
-    def test_from_args_jobs_falls_back_to_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_JOBS", "5")
-        monkeypatch.delenv("REPRO_BENCH_CACHE", raising=False)
+    def test_from_args_jobs_defaults_to_usable_cores(self):
         args = Namespace(apps="all", length=100, jobs=None, no_cache=False)
         assert Scale.from_args(args) == Scale(
-            apps=None, length=100, jobs=5, cache=True
+            apps=None, length=100, jobs=default_jobs(), cache=True
         )
-
-    def test_env_cache_flag_overrides_cli_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_CACHE", "0")
-        args = Namespace(apps="2", length=100, jobs=1, no_cache=False)
-        assert Scale.from_args(args).cache is False
 
     def test_parse_apps(self):
         assert parse_apps("all") is None
@@ -104,31 +68,18 @@ class TestScale:
         with pytest.raises(ValueError):
             parse_apps("nope")
 
-    def test_default_jobs_rejects_nonpositive(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_JOBS", "0")
-        with pytest.raises(ValueError):
-            default_jobs()
-
     def test_default_jobs_respects_affinity_mask(self, monkeypatch):
         # A container pinned to 3 of a 64-core host must get 3 workers,
         # not 64: the affinity mask, not cpu_count, is what is usable.
-        monkeypatch.delenv("REPRO_BENCH_JOBS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9},
                             raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert default_jobs() == 3
 
     def test_default_jobs_falls_back_to_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_JOBS", raising=False)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
         assert default_jobs() == 5
-
-    def test_env_jobs_overrides_affinity(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_JOBS", "7")
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                            raising=False)
-        assert default_jobs() == 7
 
     def test_scale_is_hashable(self):
         assert Scale(apps=2, length=10, jobs=1, cache=True) in {

@@ -23,8 +23,7 @@ fresh interpreter — because inside this long-lived pytest process
 earlier modules have already built the prewarm/plan memos, which makes
 an in-process reference ~40% faster than any standalone full-detail run
 and silently shifts the protocol every quoted sampling speedup (PR 4's
-fixed table included) was measured under.  The same numbers are archived
-into ``BENCH_grid.json`` by ``benchmarks/test_perf_sampling.py``.
+fixed table included) was measured under.
 """
 
 from __future__ import annotations
@@ -166,10 +165,9 @@ class TestSpeedupFrontier:
         """The pooled wall-clock ratio never regresses toward fixed spend.
 
         Under the canonical protocol the frontier measures 12–15×
-        (``ADAPTIVE_SPEEDUP_FLOOR`` is enforced at full strength by the
-        fresh-process surfaces: ``benchmarks/test_perf_sampling.py``
-        archives it in ``BENCH_grid.json`` and the
-        ``adaptive-sampling-smoke`` CI job gates ``--min-speedup``).  A
+        (``ADAPTIVE_SPEEDUP_FLOOR`` is enforced at full strength in a
+        fresh process: the ``adaptive-sampling-smoke`` CI job gates
+        ``tools/validate_sampling.py --min-speedup``).  A
         wall-clock assert inside a shared test process has to leave
         headroom for machine variance (±40% observed run-to-run on this
         container class), so the hard floor here is 2/3 of the frontier

@@ -5,8 +5,8 @@ The scheduler's happy path is pinned by the accuracy-regression suite
 around it:
 
 * config plumbing — the ``adaptive`` parse grammar, the tuned defaults,
-  store-key separation from fixed mode, and the engine/environment
-  surfaces (``Scale``, ``REPRO_BENCH_SAMPLING``);
+  store-key separation from fixed mode, and the engine's spec parsing
+  (:func:`~repro.experiments.engine.resolve_run_options`);
 * scheduling behaviour — recurring phases actually reuse measurements,
   and the estimate reports its per-phase breakdown;
 * fault injection — the scheduler's edge cases (stream shorter than the
@@ -98,11 +98,9 @@ class TestAdaptiveConfig:
             config, "swim", 200_000, adaptive.as_fixed()
         )
 
-    def test_engine_resolves_adaptive_specs(self, monkeypatch):
+    def test_engine_resolves_adaptive_specs(self):
         options = resolve_run_options("adaptive")
         assert options.sampling == SamplingConfig.adaptive()
-        monkeypatch.setenv("REPRO_BENCH_SAMPLING", "adaptive")
-        assert resolve_run_options().sampling == SamplingConfig.adaptive()
 
     def test_rejects_bad_phase_knobs(self):
         with pytest.raises(ConfigurationError, match="phase_threshold"):

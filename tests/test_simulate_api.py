@@ -177,12 +177,10 @@ class TestBackendParsing:
         with pytest.raises(ValueError, match="choose from: scalar, compiled"):
             parse_backend("columnar")
 
-    def test_resolve_run_options_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_BACKEND", "compiled")
-        monkeypatch.setenv("REPRO_BENCH_SAMPLING", "on")
-        options = resolve_run_options()
+    def test_resolve_run_options_specs(self):
+        options = resolve_run_options("on", "compiled")
         assert options.backend is ExecutionBackend.COMPILED
         assert options.sampling == SamplingConfig()
-        # Explicit specs win over the environment.
-        explicit = resolve_run_options("off", "scalar")
-        assert explicit == RunOptions()
+        # No spec means full detail on the scalar reference.
+        assert resolve_run_options() == RunOptions()
+        assert resolve_run_options("off", "scalar") == RunOptions()

@@ -138,21 +138,26 @@ def test_compiled_artifact_with_shared_caches(tmp_path):
 
     Two models with equal fetch parameters share one cache across both
     backends; each combination must match the generator-path scalar run.
+    swim/TON at 20k is the hot-trace-dominated golden pair.
     """
-    app = application("gcc")
-    artifact = compile_artifact(app, app.seed, 3000, root=tmp_path)
-    segments = artifact.segments()
-    cache = ColdPlanCache(segments)
-    for model_name in ("N", "TON"):
-        reference = _simulate(model_name=model_name, app_name="gcc",
-                              length=3000, options=RunOptions())
-        for backend in ExecutionBackend:
-            result = ParrotSimulator(model_config(model_name)).simulate(
-                artifact,
-                RunOptions(backend=backend, segments=segments,
-                           cold_plans=cache),
-            )
-            assert result.to_dict() == reference, (model_name, backend)
+    for app_name, model_names, length in (("gcc", ("N", "TON"), 3000),
+                                          ("swim", ("TON",), 20_000)):
+        app = application(app_name)
+        artifact = compile_artifact(app, app.seed, length, root=tmp_path)
+        segments = artifact.segments()
+        cache = ColdPlanCache(segments)
+        for model_name in model_names:
+            reference = _simulate(model_name=model_name, app_name=app_name,
+                                  length=length, options=RunOptions())
+            for backend in ExecutionBackend:
+                result = ParrotSimulator(model_config(model_name)).simulate(
+                    artifact,
+                    RunOptions(backend=backend, segments=segments,
+                               cold_plans=cache),
+                )
+                assert result.to_dict() == reference, (
+                    app_name, model_name, backend
+                )
 
 
 # --------------------------------------------------------------------------
