@@ -308,7 +308,7 @@ def compile_cold_plan(instructions: list, params) -> tuple:
     return (groups, *compile_plan_stats(all_rows), n_cti)
 
 
-# bench/tracing.py traces these names; they retire in ROADMAP item 1, step 1.
+# bench/tracing.py traces these names; they retire in ROADMAP item 2, step 1.
 compile_cold_specialized = compile_cold_plan
 run_cold_compiled = TimingCore.run_cold_plan
 
@@ -863,17 +863,12 @@ class ParrotSimulator:
                     stream.skip(plain)
                 if interval.funcwarm:
                     warmup_policy.functional_skip(stream, interval.funcwarm)
-            selector = TraceSelector()
-            if interval.warmup:
-                warmup_policy.warm(stream, interval.warmup, selector, cpi)
             if not interval.detail:
                 continue
-            before = self._interval_snapshot(machine)
-            self._execute_segments(
-                machine, segment_stream(stream, interval.detail, selector)
+            delta, instructions, cycles = self._measure_interval(
+                machine, warmup_policy, stream,
+                interval.warmup, interval.detail, cpi,
             )
-            after = self._interval_snapshot(machine)
-            delta, instructions, cycles = self._interval_delta(before, after)
             if not instructions:
                 continue
             aggregate.merge(delta)
@@ -1000,15 +995,10 @@ class ParrotSimulator:
             )
             if funcwarm:
                 warmup_policy.functional_skip(stream, funcwarm)
-            selector = TraceSelector()
-            if sampling.warmup:
-                warmup_policy.warm(stream, sampling.warmup, selector, cpi)
-            before = self._interval_snapshot(machine)
-            self._execute_segments(
-                machine, segment_stream(stream, sampling.detail, selector)
+            delta, instructions, cycles = self._measure_interval(
+                machine, warmup_policy, stream,
+                sampling.warmup, sampling.detail, cpi,
             )
-            after = self._interval_snapshot(machine)
-            delta, instructions, cycles = self._interval_delta(before, after)
             if not instructions:
                 continue
             cohorts.setdefault(phase, []).append(
@@ -1098,6 +1088,32 @@ class ParrotSimulator:
         result.energy = model.evaluate(scaled_events, result.cycles)
         result.events = scaled_events.as_dict()
         return result
+
+    def _measure_interval(
+        self,
+        machine: _Machine,
+        warmup_policy: WarmupPolicy,
+        stream: InstructionStream,
+        warmup: int,
+        detail: int,
+        cpi: float,
+    ) -> tuple[EventCounts, int, float]:
+        """Warm, then simulate one detailed interval of ``detail > 0``.
+
+        The warmup window feeds a fresh selector that the detailed
+        interval continues, so segment boundaries flow from warmup into
+        measurement.  Returns the interval's ``(events, instructions,
+        cycles)`` delta.
+        """
+        selector = TraceSelector()
+        if warmup:
+            warmup_policy.warm(stream, warmup, selector, cpi)
+        before = self._interval_snapshot(machine)
+        self._execute_segments(
+            machine, segment_stream(stream, detail, selector)
+        )
+        after = self._interval_snapshot(machine)
+        return self._interval_delta(before, after)
 
     @staticmethod
     def _interval_snapshot(machine: _Machine) -> tuple:

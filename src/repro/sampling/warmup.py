@@ -146,13 +146,10 @@ class WarmupPolicy:
         stream position, which the scanner reports exactly.
 
         Returns the number of instructions consumed; ``0`` means the fast
-        path does not apply (generating walker, buffered lookahead, or a
-        selector that already holds state) and the caller must run the
-        reference loop.
+        path does not apply (generating walker, or a selector that
+        already holds state) and the caller must run the reference loop.
         """
-        consume_raw = getattr(stream, "consume_raw", None)
-        if (consume_raw is None or count <= 0
-                or not getattr(selector, "pristine", False)):
+        if count <= 0 or not selector.pristine:
             return 0
         hierarchy = self.hierarchy
         fetch = hierarchy.warm_fetch
@@ -168,7 +165,7 @@ class WarmupPolicy:
             train_segment(segment, clock + position * cpi)
 
         while consumed < count:
-            raw = consume_raw(count - consumed)
+            raw = stream.consume_raw(count - consumed)
             if raw is None:
                 break
             walker, lo, index, taken, nxt, mem = raw
@@ -178,12 +175,9 @@ class WarmupPolicy:
                 instructions, addresses, flow, uop_counts = (
                     walker.select_tables()
                 )
-                scan_tables = getattr(walker, "scan_tables", None)
                 scanner = selector.columnar_scanner(
                     walker.materialize, flow, uop_counts, addresses,
-                    scan=(
-                        scan_tables() if scan_tables is not None else None
-                    ),
+                    scan=walker.scan_tables(),
                 )
             last_line = walker.warm_effects(
                 lo, lo + len(index), fetch, touch_data, predict_and_train,

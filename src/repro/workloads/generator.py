@@ -132,8 +132,3 @@ class SyntheticWorkload:
         """Create a fresh, replayable dynamic stream of ``limit`` instructions."""
         seed = self.seed ^ 0xC0FFEE if stream_seed is None else stream_seed
         return InstructionStream(StreamWalker(self.program, seed), limit)
-
-    def walker(self, *, stream_seed: int | None = None) -> StreamWalker:
-        """Create an unbounded walker (mostly useful for tests)."""
-        seed = self.seed ^ 0xC0FFEE if stream_seed is None else stream_seed
-        return StreamWalker(self.program, seed)

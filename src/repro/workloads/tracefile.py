@@ -203,24 +203,6 @@ class ArtifactReplayWalker:
         self._total = len(artifact)
         self.executed = 0
 
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> DynamicInstruction:
-        i = self._pos
-        if i >= self._total:
-            raise StopIteration
-        mem = self._mem[i]
-        dyn = DynamicInstruction(
-            self._instructions[self._index[i]],
-            self._taken[i],
-            self._next[i],
-            None if mem == int(_NO_MEM) else mem,
-        )
-        self._pos = i + 1
-        self.executed += 1
-        return dyn
-
     def next_batch(self, count: int) -> list[DynamicInstruction]:
         """Decode ``count`` recorded instructions in one call, in order.
 

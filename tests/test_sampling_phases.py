@@ -7,10 +7,11 @@ Three contracts, in the style of ``tests/test_optimizer_property.py``:
   signatures, and the distance metric is insertion-order independent
   (the generating walker observes targets in first-execution order while
   artifact replay accumulates them sorted; both must classify alike);
-* profiled fast-forward is bit-identical across every skip path — the
-  plain block-compiled walk, the functionally warmed walk and artifact
-  replay produce the same profile for the same window, so classifier
-  state round-trips through ``skip``/``warm_skip`` without divergence;
+* profiled fast-forward is bit-identical across both profiled skip
+  paths — the block-compiled walk of the generating walker and artifact
+  replay produce the same profile for the same window as counting a
+  ``take_batch`` walk of it, so classifier state round-trips through
+  ``skip`` without divergence;
 * :class:`~repro.trace.selection.ColumnarSelector` (both its
   boundary-jumping scan and its per-row mirror loop) segments a recorded
   stream exactly like the reference :class:`TraceSelector`, including
@@ -23,9 +24,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import WorkloadError
 from repro.sampling.phases import PhaseClassifier, PhaseSignature
 from repro.trace.selection import TraceSelector
 from repro.workloads.suite import application
+from repro.workloads.stream import _DYN_CTI_FLOWS
 from repro.workloads.tracefile import compile_artifact
 
 #: Stream length of the recorded fixtures (compiled once per module).
@@ -117,16 +120,26 @@ def _noop(*_args) -> None:
     return None
 
 
-def _profile_windows(stream, windows, *, warm: bool):
+def _profile_windows(stream, windows):
     """Profile successive skip windows; returns one dict per window."""
     profiles = []
     for window in windows:
         profile: dict[int, int] = {}
-        if warm:
-            stream.skip(window, warm=(_noop, _noop, _noop, 6),
-                        profile=profile)
-        else:
-            stream.skip(window, profile=profile)
+        stream.skip(window, profile=profile)
+        profiles.append(profile)
+    return profiles
+
+
+def _count_windows(stream, windows):
+    """Ground truth: count each window's dynamic-CTI successors from a
+    materialised ``take_batch`` walk."""
+    profiles = []
+    for window in windows:
+        profile: dict[int, int] = {}
+        for dyn in stream.take_batch(window):
+            if dyn.instr.flow_code in _DYN_CTI_FLOWS:
+                target = dyn.next_address
+                profile[target] = profile.get(target, 0) + 1
         profiles.append(profile)
     return profiles
 
@@ -143,18 +156,20 @@ class TestProfiledSkipRoundTrip:
     def test_profiles_identical_across_all_skip_paths(
         self, replay, app_name, windows
     ):
+        walked = _count_windows(
+            application(app_name).build().stream(REPLAY_LENGTH), windows,
+        )
         plain = _profile_windows(
-            application(app_name).build().stream(REPLAY_LENGTH),
-            windows, warm=False,
+            application(app_name).build().stream(REPLAY_LENGTH), windows,
         )
-        warmed = _profile_windows(
-            application(app_name).build().stream(REPLAY_LENGTH),
-            windows, warm=True,
-        )
-        replayed = _profile_windows(
-            replay[app_name].stream(), windows, warm=False,
-        )
-        assert plain == warmed == replayed
+        replayed = _profile_windows(replay[app_name].stream(), windows)
+        assert plain == replayed == walked
+
+    def test_warmed_skip_rejects_profile(self):
+        stream = application("gcc").build().stream(REPLAY_LENGTH)
+        with pytest.raises(WorkloadError):
+            stream.skip(100, warm=(_noop, _noop, _noop, 6), profile={})
+        assert stream.consumed == 0
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -170,17 +185,14 @@ class TestProfiledSkipRoundTrip:
         """The classification sequence is path-independent.
 
         Feeding the per-window signatures from the generating walker and
-        from warmed artifact replay into fresh classifiers must visit the
-        exact same phase ids — the adaptive scheduler's decisions (and so
-        its results) cannot depend on which fast-forward path ran.
+        from artifact replay into fresh classifiers must visit the exact
+        same phase ids — the adaptive scheduler's decisions (and so its
+        results) cannot depend on which fast-forward path ran.
         """
         walker_side = _profile_windows(
-            application(app_name).build().stream(REPLAY_LENGTH),
-            windows, warm=False,
+            application(app_name).build().stream(REPLAY_LENGTH), windows,
         )
-        replay_side = _profile_windows(
-            replay[app_name].stream(), windows, warm=True,
-        )
+        replay_side = _profile_windows(replay[app_name].stream(), windows)
         left = PhaseClassifier(threshold=0.5, max_phases=4)
         right = PhaseClassifier(threshold=0.5, max_phases=4)
         left_ids = [

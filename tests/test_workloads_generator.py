@@ -37,19 +37,15 @@ class TestProgramSynthesis:
     def test_all_suite_profiles_synthesise_and_run(self, factory):
         workload = SyntheticWorkload(factory(), seed=3)
         stream = workload.stream(2000)
-        count = 0
-        while not stream.exhausted:
-            stream.take()
-            count += 1
-        assert count == 2000
+        assert len(stream.take_batch(5000)) == 2000
 
 
 class TestStreamWalking:
     def test_stream_is_deterministic(self, fp_workload):
         s1 = fp_workload.stream(3000)
         s2 = fp_workload.stream(3000)
-        while not s1.exhausted:
-            a, b = s1.take(), s2.take()
+        for a, b in zip(s1.take_batch(3000), s2.take_batch(3000),
+                        strict=True):
             assert a.address == b.address
             assert a.taken == b.taken
             assert a.mem_addr == b.mem_addr
@@ -57,26 +53,24 @@ class TestStreamWalking:
     def test_different_stream_seeds_diverge(self, int_workload):
         s1 = int_workload.stream(3000, stream_seed=1)
         s2 = int_workload.stream(3000, stream_seed=2)
-        diffs = 0
-        while not s1.exhausted and not s2.exhausted:
-            if s1.take().address != s2.take().address:
-                diffs += 1
+        diffs = sum(
+            a.address != b.address
+            for a, b in zip(s1.take_batch(3000), s2.take_batch(3000))
+        )
         assert diffs > 0
 
     def test_control_flow_is_consistent(self, int_workload):
         """Each instruction's next_address must be the successor's address."""
         stream = int_workload.stream(5000)
         prev = None
-        while not stream.exhausted:
-            dyn = stream.take()
+        for dyn in stream.take_batch(5000):
             if prev is not None:
                 assert dyn.address == prev.next_address
             prev = dyn
 
     def test_taken_semantics(self, int_workload):
         stream = int_workload.stream(5000)
-        while not stream.exhausted:
-            dyn = stream.take()
+        for dyn in stream.take_batch(5000):
             iclass = dyn.instr.iclass
             if iclass is InstrClass.COND_BRANCH:
                 if dyn.taken:
@@ -92,8 +86,7 @@ class TestStreamWalking:
     def test_memory_instructions_carry_addresses(self, fp_workload):
         stream = fp_workload.stream(5000)
         seen_mem = 0
-        while not stream.exhausted:
-            dyn = stream.take()
+        for dyn in stream.take_batch(5000):
             has_mem_uop = any(u.is_mem for u in dyn.instr.uops)
             if dyn.mem_addr is not None:
                 assert has_mem_uop
@@ -105,9 +98,7 @@ class TestStreamWalking:
         nearly all dynamic execution."""
         from collections import Counter
         stream = fp_workload.stream(10000)
-        counts = Counter()
-        while not stream.exhausted:
-            counts[stream.take().address] += 1
+        counts = Counter(dyn.address for dyn in stream.take_batch(10000))
         static_total = fp_workload.stats.static_instructions
         touched = len(counts)
         # Most static instructions (the cold region) were never executed.
@@ -118,30 +109,6 @@ class TestStreamWalking:
 
 
 class TestInstructionStream:
-    def test_peek_does_not_consume(self, fp_workload):
-        stream = fp_workload.stream(100)
-        first = stream.peek(0)
-        second = stream.peek(1)
-        assert stream.consumed == 0
-        assert stream.take() is first
-        assert stream.take() is second
-
-    def test_take_many_respects_limit(self, fp_workload):
-        stream = fp_workload.stream(10)
-        got = stream.take_many(50)
-        assert len(got) == 10
-        assert stream.exhausted
-
-    def test_peek_past_end_returns_none(self, fp_workload):
-        stream = fp_workload.stream(5)
-        assert stream.peek(10) is None
-
-    def test_take_on_exhausted_raises(self, fp_workload):
-        stream = fp_workload.stream(1)
-        stream.take()
-        with pytest.raises(WorkloadError):
-            stream.take()
-
     @given(st.integers(-5, 0))
     def test_nonpositive_limit_rejected(self, limit):
         with pytest.raises(WorkloadError):
@@ -153,7 +120,7 @@ class TestInstructionStream:
         workload = SyntheticWorkload(specint_profile("prop"), seed=5)
         stream = workload.stream(limit)
         count = 0
-        while not stream.exhausted:
-            stream.take()
-            count += 1
-        assert count == limit
+        while batch := stream.take_batch(64):
+            count += len(batch)
+        assert count == stream.consumed == limit
+        assert stream.take_batch(1) == []

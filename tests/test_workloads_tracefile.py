@@ -33,22 +33,21 @@ class TestCapture:
         trace = TraceArtifact.load(trace_path)
         original = fp_workload.stream(LENGTH)
         replay = trace.stream()
-        while not original.exhausted:
-            a, b = original.take(), replay.take()
+        for a, b in zip(original.take_batch(LENGTH), replay.take_batch(LENGTH),
+                        strict=True):
             assert a.address == b.address
             assert a.taken == b.taken
             assert a.next_address == b.next_address
             assert a.mem_addr == b.mem_addr
             assert a.instr.iclass == b.instr.iclass
             assert a.instr.length == b.instr.length
-        assert replay.exhausted
+        assert replay.take_batch(1) == []
 
     def test_uops_roundtrip(self, trace_path, fp_workload):
         trace = TraceArtifact.load(trace_path)
         by_address = {i.address: i for i in trace.instructions}
         stream = fp_workload.stream(500)
-        while not stream.exhausted:
-            dyn = stream.take()
+        for dyn in stream.take_batch(500):
             loaded = by_address[dyn.address]
             assert len(loaded.uops) == len(dyn.instr.uops)
             for a, b in zip(loaded.uops, dyn.instr.uops):
@@ -84,11 +83,8 @@ class TestReplaySimulation:
     def test_limit_truncates(self, trace_path):
         trace = TraceArtifact.load(trace_path)
         stream = trace.stream(limit=100)
-        count = 0
-        while not stream.exhausted:
-            stream.take()
-            count += 1
-        assert count == 100
+        assert len(stream.take_batch(LENGTH)) == 100
+        assert stream.take_batch(1) == []
 
     def test_trace_replay_without_program_prewarm(self, trace_path, fp_workload):
         """Replays work standalone, using the artifact's own prewarm image."""
