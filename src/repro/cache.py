@@ -1,18 +1,17 @@
 """One content-addressed on-disk cache under ``$REPRO_CACHE_DIR``.
 
-The result store (:class:`~repro.experiments.engine.ResultStore`), the
+The result store (:class:`~repro.experiments.engine.ResultStore`) and the
 trace-artifact cache (:class:`~repro.workloads.tracefile.ArtifactCache`)
-and the compiled-plan cache
-(:class:`~repro.pipeline.specialize.CompiledPlanCache`) are subclasses of
-:class:`DiskCache`, which owns every decision they share:
+are subclasses of :class:`DiskCache`, which owns every decision they
+share:
 
 * **Root.** :func:`cache_root` is ``$REPRO_CACHE_DIR`` (stripped, ``~``
   expanded) or ``~/.cache/repro``; each cache lives in its own
   subdirectory of it (the store directly in it).
 * **Layout.** One entry per key at ``<cache>/<k[:2]>/<k><suffix>``; an
   entry is a file or a directory.  Scans visit only two-hex-digit shard
-  directories, so the store never walks ``artifacts/`` or ``compiled/``
-  as if they were shards of its own.
+  directories, so the store never walks ``artifacts/`` as if it were a
+  shard of its own.
 * **Atomic write.** An entry is built at ``<entry>.tmp.<pid>`` and renamed
   into place with ``os.replace``.  On any failure the tmp is removed; an
   ``OSError`` is re-raised with the cache and key named in it.

@@ -44,7 +44,6 @@ from repro.experiments.shard import (
 )
 from repro.models.configs import MODEL_NAMES, model_config
 from repro.pipeline.columnar import ExecutionBackend
-from repro.pipeline.specialize import CompiledPlanCache
 from repro.workloads.suite import ALL_APPS, application, benchmark_suite
 from repro.workloads.tracefile import ArtifactCache
 
@@ -52,8 +51,7 @@ _EXAMPLES = """\
 examples:
   repro run swim --model TON --length 20000
   repro run swim --model TON --length 200000 --sampling
-  repro run swim --model TON --backend compiled
-  repro profile swim TON --length 20000 --backend compiled
+  repro profile swim TON --length 20000
   repro sweep --models N,TON --apps 15 --jobs 4
   repro sweep --models N,TON --length 200000 --sampling
   repro figure fig4_1 headline --apps all
@@ -125,17 +123,14 @@ def _add_run_option_args(parser: argparse.ArgumentParser) -> None:
              "'DETAIL:GAP:WARMUP[:FUNC_WARM][:CONFIDENCE]' "
              "(default: off)",
     )
-    _add_backend_arg(parser)
-
-
-def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
+    # Selects nothing: both values run the one executor.  Kept because
+    # the benchmark runs `repro figure ... --backend compiled`; retires in
+    # ROADMAP item 2, step 1 (shard plans still record it).
     parser.add_argument(
         "--backend", default=None,
         choices=[b.value for b in ExecutionBackend],
-        help="hot-trace executor: scalar is the reference; compiled "
-             "replays each hot trace through generated code and is "
-             "bit-identical; cold code runs on the scalar executor "
-             "under both (default: scalar)",
+        help="accepted for compatibility; both values run the same "
+             "executor and give identical results",
     )
 
 
@@ -216,10 +211,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.profiling import profile_run
 
     try:
-        report = profile_run(
-            args.app, args.model, args.length,
-            backend=_options_from_args(args).backend,
-        )
+        report = profile_run(args.app, args.model, args.length)
     except KeyError:
         print(f"unknown application {args.app!r}; run `repro list` to see "
               f"the {len(ALL_APPS)} available applications", file=sys.stderr)
@@ -283,8 +275,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    """Inspect or clear the result store, artifact and compiled-plan caches."""
-    for cache in (ResultStore(), ArtifactCache(), CompiledPlanCache()):
+    """Inspect or clear the result store and the artifact cache."""
+    for cache in (ResultStore(), ArtifactCache()):
         if args.action == "clear":
             print(f"{cache.name:<9} removed {cache.clear()} entries from "
                   f"{cache.root}")
@@ -451,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="functions shown in the self-time table")
     profile.add_argument("--output", default="repro-profile.pstats",
                          metavar="FILE", help="cProfile dump destination")
-    _add_backend_arg(profile)
     profile.set_defaults(func=cmd_profile)
 
     sweep = sub.add_parser("sweep", help="sweep models over applications")
@@ -538,8 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(func=cmd_serve)
 
     cache = sub.add_parser(
-        "cache", help="inspect or clear the result store, artifact and "
-                      "compiled-plan caches")
+        "cache", help="inspect or clear the result store and the "
+                      "artifact cache")
     cache.add_argument("action", choices=("info", "clear"))
     cache.set_defaults(func=cmd_cache)
 

@@ -52,7 +52,6 @@ from repro.frontend.fetch import FetchParams, plan_cold_groups, trace_fetch_cycl
 from repro.frontend.trace_predictor import TracePredictor
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.columnar import ExecutionBackend
-from repro.pipeline.specialize import compile_hot_specialized, run_hot_compiled
 from repro.pipeline.core import TimingCore, compile_plan_stats, compile_uop_row
 from repro.pipeline.segment_batch import compile_hot_training, run_hot_training
 from repro.pipeline.resources import ExecProfile
@@ -153,13 +152,11 @@ class _Machine:
         "background",
         "cold_plans",
         "last_pipeline",
-        "backend",
     )
 
     def __init__(self, config, events, result, core, hot_profile,
                  cold_profile, hierarchy, bpred, tpred, background,
-                 cold_plans=None,
-                 backend: ExecutionBackend = ExecutionBackend.SCALAR):
+                 cold_plans=None):
         self.config = config
         self.events = events
         self.result = result
@@ -180,7 +177,6 @@ class _Machine:
             {} if cold_plans is None else cold_plans
         )
         self.last_pipeline = "cold"
-        self.backend = backend
 
 
 @dataclass(slots=True)
@@ -209,11 +205,10 @@ class RunOptions:
     * ``prewarm`` — start the memory hierarchy in steady state (the
       paper's 30-100M-instruction traces amortise compulsory misses; our
       much shorter runs must not be dominated by them);
-    * ``backend`` — which executor replays hot traces (see
-      :class:`~repro.pipeline.columnar.ExecutionBackend`): ``SCALAR``, the
-      default, is the reference; ``COMPILED`` replays each hot trace
-      through generated code and is bit-identical.  Cold segments replay
-      on the scalar cold plan under both;
+    * ``backend`` — selects nothing: both
+      :class:`~repro.pipeline.columnar.ExecutionBackend` values run the
+      one executor.  Kept because the benchmark passes ``COMPILED``; it
+      retires in ROADMAP item 2, step 1;
     * ``segments`` — a precomputed segment partition of an artifact's
       stream (full-detail artifact runs only): segmentation is a pure
       function of the committed stream, so one partition is shared across
@@ -246,9 +241,7 @@ class ColdPlanCache:
     fingerprint — segment lists are never copied on the sharing paths),
     and :meth:`plans_for` refuses to serve plans for any other list.
     Plans are further partitioned by fetch parameters, so one cache
-    instance can cover a whole model grid over one artifact.  Every
-    backend replays the same cold plan shape, so a grid that mixes
-    backends shares the plans too.
+    instance can cover a whole model grid over one artifact.
     """
 
     __slots__ = ("segments", "_plans")
@@ -308,7 +301,26 @@ def compile_cold_plan(instructions: list, params) -> tuple:
     return (groups, *compile_plan_stats(all_rows), n_cti)
 
 
-# bench/tracing.py traces these names; they retire in ROADMAP item 2, step 1.
+def compile_hot_plan(rows: list, per_cycle: int) -> tuple:
+    """Compile a hot trace's execution plan: its uop rows in fetch groups.
+
+    Returns ``(groups, n_uops, n_reads, n_writes, fu_counts)``: one group
+    of up to ``per_cycle`` :func:`~repro.pipeline.core.compile_uop_row`
+    rows streams from the trace cache per cycle, plus the static event
+    totals of :func:`~repro.pipeline.core.compile_plan_stats`.  Uops never
+    change once a trace is installed, so the plan is cached on the trace.
+    """
+    groups = [
+        tuple(rows[i:i + per_cycle]) for i in range(0, len(rows), per_cycle)
+    ]
+    return (groups, *compile_plan_stats(rows))
+
+
+# bench/tracing.py traces these names and the simulator calls them through
+# them.  Both ExecutionBackend values run these same four functions; the
+# aliases retire with the enum in ROADMAP item 2, step 1.
+compile_hot_specialized = compile_hot_plan
+run_hot_compiled = TimingCore.run_hot_plan
 compile_cold_specialized = compile_cold_plan
 run_cold_compiled = TimingCore.run_cold_plan
 
@@ -346,11 +358,11 @@ class ParrotSimulator:
         hierarchy, ``length`` is required only for sampled runs), or a
         compiled :class:`~repro.workloads.tracefile.TraceArtifact` (which
         carries its own length, labels and prewarm image).  All three are
-        bit-identical over the same dynamic stream, as are both execution
-        backends — pinned by the golden parity suite.
+        bit-identical over the same dynamic stream — pinned by the golden
+        parity suite.
 
         ``options`` is a :class:`RunOptions`; ``None`` means the defaults
-        (full detail, prewarmed, scalar backend).  Returns the
+        (full detail, prewarmed).  Returns the
         :class:`~repro.core.results.SimulationResult`, or the
         :class:`SampledRun` (result + confidence intervals) when
         ``options.estimate`` is set.
@@ -440,14 +452,13 @@ class ParrotSimulator:
             run = self._run_sampled(
                 stream, total, sampling,
                 app_name=name, suite=suite_name, prewarm=image,
-                backend=options.backend,
             )
             return run if options.estimate else run.result
 
         plans = self._resolve_cold_plans(label, options, segments)
         machine = self._assemble(
             app_name=name, suite=suite_name, prewarm=image,
-            cold_plans=plans, backend=options.backend,
+            cold_plans=plans,
         )
         if segments is not None:
             self._execute_segments(machine, iter(segments))
@@ -522,13 +533,12 @@ class ParrotSimulator:
         suite: str,
         prewarm: tuple | None,
         cold_plans: dict[TraceId, tuple] | None = None,
-        backend: ExecutionBackend = ExecutionBackend.SCALAR,
     ) -> _Machine:
         """Build every structure of one run: core, hierarchy, predictors.
 
         ``cold_plans`` seeds the machine's cold-plan cache with a shared
         dict (see :meth:`simulate`); by default every machine gets a
-        private one.  ``backend`` selects the hot-trace executor.
+        private one.
         """
         config = self.config
         events = EventCounts()
@@ -576,7 +586,6 @@ class ParrotSimulator:
         return _Machine(
             config, events, result, core, hot_profile, cold_profile,
             hierarchy, bpred, tpred, background, cold_plans=cold_plans,
-            backend=backend,
         )
 
     def _energy_model(self) -> EnergyModel:
@@ -626,7 +635,6 @@ class ParrotSimulator:
         tpred = machine.tpred
         background = machine.background
         cold_plans = machine.cold_plans
-        backend = machine.backend
 
         # Segment-loop events accumulate in locals and fold into
         # ``events`` once per call — per-plan reductions, like the
@@ -688,7 +696,6 @@ class ParrotSimulator:
                         core.set_profile(hot_profile)
                         self._execute_hot(
                             core, hierarchy, result, trace, segment,
-                            backend,
                         )
                         n_hot_frames += 1
                         if trace.optimized and trace.virtual_renames:
@@ -812,16 +819,14 @@ class ParrotSimulator:
         app_name: str,
         suite: str,
         prewarm: tuple | None = None,
-        backend: ExecutionBackend = ExecutionBackend.SCALAR,
     ) -> SampledRun:
         if sampling is not None and sampling.mode == "adaptive":
             return self._run_adaptive(
                 stream, length, sampling,
                 app_name=app_name, suite=suite, prewarm=prewarm,
-                backend=backend,
             )
         machine = self._assemble(
-            app_name=app_name, suite=suite, prewarm=prewarm, backend=backend,
+            app_name=app_name, suite=suite, prewarm=prewarm,
         )
         model = self._energy_model()
         if sampling is not None:
@@ -863,8 +868,6 @@ class ParrotSimulator:
                     stream.skip(plain)
                 if interval.funcwarm:
                     warmup_policy.functional_skip(stream, interval.funcwarm)
-            if not interval.detail:
-                continue
             delta, instructions, cycles = self._measure_interval(
                 machine, warmup_policy, stream,
                 interval.warmup, interval.detail, cpi,
@@ -908,7 +911,6 @@ class ParrotSimulator:
         app_name: str,
         suite: str,
         prewarm: tuple | None = None,
-        backend: ExecutionBackend = ExecutionBackend.SCALAR,
     ) -> SampledRun:
         """Phase-aware sampled run: detail only where the phase needs it.
 
@@ -935,11 +937,10 @@ class ParrotSimulator:
             return self._run_sampled(
                 stream, length, sampling.as_fixed(),
                 app_name=app_name, suite=suite, prewarm=prewarm,
-                backend=backend,
             )
 
         machine = self._assemble(
-            app_name=app_name, suite=suite, prewarm=prewarm, backend=backend,
+            app_name=app_name, suite=suite, prewarm=prewarm,
         )
         model = self._energy_model()
         warmup_policy = WarmupPolicy(
@@ -1230,7 +1231,6 @@ class ParrotSimulator:
         result: SimulationResult,
         trace: Trace,
         segment: TraceSegment,
-        backend: ExecutionBackend = ExecutionBackend.SCALAR,
     ) -> None:
         """Execute a correctly predicted trace on the hot pipeline.
 
@@ -1241,41 +1241,18 @@ class ParrotSimulator:
         uops = trace.uops
         # Per-trace execution plan, compiled on first hot execution: group
         # boundaries and uop rows are static per trace (uops never change
-        # once installed; optimization installs a new Trace).  One group of
-        # ``trace_uops`` rows streams from the trace cache per cycle.
-        # Each backend caches its own plan shape on the trace; hot plans
-        # are machine-private (traces live in this machine's trace cache),
-        # so the compiled plan may bake this core's front-end depth and
-        # the hot profile's widths.
-        if backend is ExecutionBackend.COMPILED:
-            plan = trace._hot_plan_compiled
-            if plan is None:
-                rows = [compile_uop_row(uop) for uop in uops]
-                plan = compile_hot_specialized(
-                    rows, self.config.fetch.trace_uops, self.config.core
-                )
-                trace._hot_plan_compiled = plan
-            run_hot_compiled(
-                core, plan, segment.instructions,
-                hierarchy.load_latency, hierarchy.store_access,
+        # once installed; optimization installs a new Trace).
+        plan = trace._hot_plan
+        if plan is None:
+            plan = compile_hot_specialized(
+                [compile_uop_row(uop) for uop in uops],
+                self.config.fetch.trace_uops,
             )
-        else:
-            plan = trace._hot_plan
-            if plan is None:
-                per_cycle = self.config.fetch.trace_uops
-                rows = [compile_uop_row(uop) for uop in uops]
-                groups = [
-                    tuple(rows[i:i + per_cycle])
-                    for i in range(0, len(rows), per_cycle)
-                ]
-                plan = (groups, *compile_plan_stats(rows))
-                trace._hot_plan = plan
-            core.run_hot_plan(
-                plan,
-                segment.instructions,
-                hierarchy.load_latency,
-                hierarchy.store_access,
-            )
+            trace._hot_plan = plan
+        run_hot_compiled(
+            core, plan, segment.instructions,
+            hierarchy.load_latency, hierarchy.store_access,
+        )
         trace.exec_count += 1
         stats = result.trace_stats
         stats.hot_executions += 1
@@ -1354,8 +1331,8 @@ class ParrotSimulator:
     ) -> tuple[int, int, int]:
         """Execute a segment on the cold pipeline (icache fetch + decode).
 
-        Cold code is not worth specializing, so every backend replays the
-        scalar cold plan (:func:`compile_cold_plan`).  Returns
+        The segment replays its cold plan (:func:`compile_cold_plan`),
+        cached per TID for complete segments.  Returns
         ``(n_groups, n_cti, n_misp)`` — the plan-level event totals the
         segment loop folds into its batched counters.
         """

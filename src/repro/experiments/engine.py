@@ -17,10 +17,10 @@ The store key is a SHA-256 digest over the full model configuration
 dataclass tree), the application name, its generator seed, the run length,
 :data:`~repro.core.results.SCHEMA_VERSION` and the run regime carried by
 :class:`~repro.core.simulator.RunOptions` (sampling fingerprint, prewarm
-when disabled; the execution backend is excluded — both backends are
-pinned bit-identical) — any change to a model parameter, a workload
-profile seed or the result schema silently keys to fresh entries, so
-stale records can never be served.
+when disabled; the ``backend`` option selects nothing and is excluded) —
+any change to a model parameter, a workload profile seed or the result
+schema silently keys to fresh entries, so stale records can never be
+served.
 
 A third property — every model of an application consumes the
 bit-identical dynamic stream — drives the scheduler: missing cells are
@@ -30,16 +30,15 @@ application's compiled trace artifact
 (:class:`~repro.workloads.tracefile.ArtifactCache`), its shared segment
 partition and a :class:`~repro.core.simulator.ColdPlanCache` over it once,
 and replays them for every model in the chunk (models with equal fetch
-parameters share cold plans through the cache, whatever their backend).
+parameters share cold plans through the cache).
 The engine owns one runner for in-process cells; each pool worker, a
 reused process, keeps its own, so the runner's memos also amortise
 simulators and artifacts across everything a worker executes.
 
 Scale knobs (application count, run length, worker count, cache on/off,
-sampling regime, execution backend) are unified in the :class:`Scale`
-dataclass, built from CLI arguments; :func:`resolve_run_options` is the
-single seam where sampling/backend specs become a
-:class:`~repro.core.simulator.RunOptions`.
+sampling regime) are unified in the :class:`Scale` dataclass, built from
+CLI arguments; :func:`resolve_run_options` is the single seam where
+sampling/backend specs become a :class:`~repro.core.simulator.RunOptions`.
 """
 
 from __future__ import annotations
@@ -115,7 +114,10 @@ def parse_apps(text: str) -> int | None:
 def parse_backend(spec: str | None) -> ExecutionBackend:
     """Parse an execution-backend spec (``scalar``/``compiled``).
 
-    ``None`` or an empty string selects the scalar reference backend.
+    ``None`` or an empty string selects ``SCALAR``.  Both values run the
+    one executor; the spec is still parsed (and an unknown one rejected)
+    because ``repro ... --backend compiled`` must keep working until
+    ROADMAP item 2, step 1 retires the option.
     """
     if spec is None:
         return ExecutionBackend.SCALAR
@@ -141,7 +143,7 @@ def resolve_run_options(
     ``sampling_spec`` follows
     :meth:`~repro.sampling.config.SamplingConfig.parse` and
     ``backend_spec`` follows :func:`parse_backend`; ``None`` selects full
-    detail on the scalar backend.
+    detail.
     """
     return RunOptions(
         sampling=SamplingConfig.parse(sampling_spec),
@@ -157,10 +159,7 @@ class Scale:
     44-app roster), ``length`` the instructions simulated per application,
     ``jobs`` the process-pool width, ``cache`` whether runs are served
     from / written to the persistent result store, ``sampling`` the
-    sampled-simulation regime (``None`` = full detail) and ``backend``
-    the hot-trace executor
-    (the scalar reference, or its bit-identical compiled twin; cold
-    segments replay on the scalar executor under both).
+    sampled-simulation regime (``None`` = full detail).
     """
 
     apps: int | None = DEFAULT_APPS
@@ -168,26 +167,20 @@ class Scale:
     jobs: int = field(default_factory=default_jobs)
     cache: bool = True
     sampling: SamplingConfig | None = None
-    backend: ExecutionBackend = ExecutionBackend.SCALAR
 
     @classmethod
     def from_args(cls, args: Any) -> "Scale":
         """Resolve from parsed CLI arguments (``--apps/--length/--jobs/
-        --no-cache/--sampling/--backend``); unset ``--jobs`` means all
-        usable cores."""
+        --no-cache/--sampling``); unset ``--jobs`` means all usable
+        cores."""
         jobs = getattr(args, "jobs", None)
         no_cache = bool(getattr(args, "no_cache", False))
-        options = resolve_run_options(
-            getattr(args, "sampling", None),
-            getattr(args, "backend", None),
-        )
         return cls(
             apps=parse_apps(args.apps),
             length=args.length,
             jobs=default_jobs() if jobs is None else jobs,
             cache=not no_cache,
-            sampling=options.sampling,
-            backend=options.backend,
+            sampling=SamplingConfig.parse(getattr(args, "sampling", None)),
         )
 
 
@@ -221,9 +214,8 @@ def run_key(
     ``options`` accepts either a bare :class:`SamplingConfig` (historical
     call shape) or a full :class:`RunOptions`.  Of the run options, only
     the result-affecting regime knobs enter the key: sampling always,
-    prewarm when disabled.  The execution *backend* is deliberately
-    excluded — scalar and compiled are pinned bit-identical by the
-    golden parity suite, so either backend may serve a stored cell.
+    prewarm when disabled.  The *backend* option is excluded: both of
+    its values run the one executor.
     """
     prewarm = True
     if isinstance(options, RunOptions):
@@ -468,7 +460,6 @@ class ChunkRunner:
         cells: Sequence[Task],
         length: int,
         sampling: SamplingConfig | None = None,
-        backend: ExecutionBackend = ExecutionBackend.SCALAR,
     ) -> ChunkRun:
         """Simulate ``cells`` at ``length`` instructions, in order."""
         hits, compiles = self.artifacts.hits, self.artifacts.compiles
@@ -483,8 +474,8 @@ class ChunkRunner:
                 self._simulators[model_name] = simulator
             results.append(simulator.simulate(
                 artifact,
-                RunOptions(sampling=sampling, backend=backend,
-                           segments=segments, cold_plans=plans),
+                RunOptions(sampling=sampling, segments=segments,
+                           cold_plans=plans),
             ))
         return ChunkRun(results, self.artifacts.hits - hits,
                         self.artifacts.compiles - compiles)
@@ -518,14 +509,13 @@ def _run_cells(
     cells: Sequence[Task],
     length: int,
     sampling: SamplingConfig | None,
-    backend: ExecutionBackend,
     task_fn: Callable[..., dict] | None,
 ) -> ChunkRun:
     """One chunk through ``runner``, or through a custom ``task_fn`` (test
     harnesses) called per cell as ``task_fn(model, app, length[,
     sampling])`` and returning a serialized result."""
     if task_fn is None:
-        return runner.run(cells, length, sampling, backend)
+        return runner.run(cells, length, sampling)
     extra = () if sampling is None else (sampling,)
     return ChunkRun([
         SimulationResult.from_dict(task_fn(model, app, length, *extra))
@@ -545,7 +535,6 @@ def simulate_chunk(
     sampling: SamplingConfig | None = None,
     artifact_root: str | None = None,
     task_fn: Callable[..., dict] | None = None,
-    backend: ExecutionBackend = ExecutionBackend.SCALAR,
 ) -> dict:
     """Worker entry point: run one chunk of grid cells in one pool call.
 
@@ -560,7 +549,7 @@ def simulate_chunk(
     runner = _WORKER_RUNNERS.get(artifact_root)
     if runner is None:
         runner = _WORKER_RUNNERS[artifact_root] = ChunkRunner(artifact_root)
-    run = _run_cells(runner, cells, length, sampling, backend, task_fn)
+    run = _run_cells(runner, cells, length, sampling, task_fn)
     return {
         "results": [result.to_dict() for result in run.results],
         "artifact_hits": run.artifact_hits,
@@ -610,6 +599,8 @@ class ExperimentEngine:
         mp_context: Any | None = None,
         sampling: SamplingConfig | None = None,
         artifact_root: str | Path | None = None,
+        # Selects nothing: both values run the one executor.  Kept because
+        # the benchmark passes it; retires in ROADMAP item 2, step 1.
         backend: ExecutionBackend = ExecutionBackend.SCALAR,
         shard: str | None = None,
     ):
@@ -624,7 +615,6 @@ class ExperimentEngine:
         self.task_fn = task_fn
         self.mp_context = mp_context
         self.sampling = sampling
-        self.backend = backend
         self.shard = shard
         self.runner = ChunkRunner(artifact_root)
         self.simulations_run = 0
@@ -733,7 +723,7 @@ class ExperimentEngine:
         for index, chunk in enumerate(chunks):
             try:
                 run = _run_cells(self.runner, chunk, self.length,
-                                 self.sampling, self.backend, self.task_fn)
+                                 self.sampling, self.task_fn)
             except Exception as exc:
                 raise self._failure(chunk, exc) from exc
             done = self._collect(chunk, run, results, done=done, total=total,
@@ -815,7 +805,7 @@ class ExperimentEngine:
                 pool.submit(
                     simulate_chunk, chunk, self.length, self.sampling,
                     artifact_root=str(self.runner.artifacts.root),
-                    task_fn=self.task_fn, backend=self.backend,
+                    task_fn=self.task_fn,
                 ): (f"chunk {index + 1}/{len(chunks)}", chunk)
                 for index, chunk in enumerate(chunks)
             }

@@ -49,10 +49,10 @@ class ExperimentRunner:
     ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``); ``sampling`` switches
     every run to sampled simulation (keyed separately in the store);
     ``artifact_dir`` overrides where compiled trace artifacts live
-    (default beside the result store); ``backend`` selects the hot-trace
-    executor (the scalar reference by default, or the bit-identical
-    compiled backend).  The default construction is serial, with no disk
-    store, at full detail.
+    (default beside the result store); ``backend`` selects nothing (both
+    values run the one executor; kept because the benchmark passes it,
+    until ROADMAP item 2, step 1 retires it).  The default construction
+    is serial, with no disk store, at full detail.
     """
 
     length: int = DEFAULT_LENGTH
@@ -80,7 +80,6 @@ class ExperimentRunner:
             progress=self.progress,
             sampling=self.sampling,
             artifact_root=self.artifact_dir,
-            backend=self.backend,
         )
 
     @classmethod
@@ -92,7 +91,6 @@ class ExperimentRunner:
             jobs=scale.jobs,
             cache=scale.cache,
             sampling=scale.sampling,
-            backend=scale.backend,
             **kwargs,
         )
 

@@ -115,8 +115,8 @@ class ShardPlan:
     """A deterministic, content-keyed partition of one experiment grid.
 
     The plan pins everything a shard's results depend on: the cell list
-    per shard, the run length, the sampling regime, the execution
-    backend and the result schema version.  :meth:`digest` additionally
+    per shard, the run length, the sampling regime, the ``backend``
+    option and the result schema version.  :meth:`digest` additionally
     folds in every cell's run key — computed from the *local* model
     configurations — so :meth:`from_dict` on a host whose configs or
     schema differ from the planner's fails loudly instead of silently
@@ -126,6 +126,8 @@ class ShardPlan:
     length: int
     shards: tuple[tuple[Task, ...], ...]
     sampling: SamplingConfig | None = None
+    #: Selects nothing (both values run the one executor); kept so that
+    #: existing plan files keep their digest, until ROADMAP item 2, step 1.
     backend: ExecutionBackend = ExecutionBackend.SCALAR
     schema_version: int = SCHEMA_VERSION
 
@@ -340,7 +342,6 @@ def run_shard(
         jobs=jobs,
         store=store,
         sampling=plan.sampling,
-        backend=plan.backend,
         artifact_root=artifact_root,
         progress=progress,
         timeout=timeout,

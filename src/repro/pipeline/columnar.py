@@ -10,14 +10,15 @@ from enum import Enum
 
 
 class ExecutionBackend(Enum):
-    """Which executor replays hot traces.
+    """A run option that no longer selects anything.
 
-    ``SCALAR`` is the default and the reference semantics: the row-replay
-    path of :class:`~repro.pipeline.core.TimingCore`, itself pinned
-    against :meth:`~repro.pipeline.core.TimingCore.run_uop` and the golden
-    results.  ``COMPILED`` replays each hot trace through a generated
-    function (:mod:`repro.pipeline.specialize`); it is bit-identical to
-    ``SCALAR``.  Cold segments replay on the scalar cold plan under both.
+    Both members run the one executor: hot traces replay on
+    :meth:`~repro.pipeline.core.TimingCore.run_hot_plan` and cold
+    segments on :meth:`~repro.pipeline.core.TimingCore.run_cold_plan`,
+    both pinned against :meth:`~repro.pipeline.core.TimingCore.run_uop`
+    and the golden results.  The enum stays, with both members, because
+    the benchmark passes ``COMPILED``; it retires in ROADMAP item 2,
+    step 1.
     """
 
     SCALAR = "scalar"

@@ -1,7 +1,7 @@
-"""Batched per-segment bookkeeping shared by all three execution backends.
+"""Batched per-segment bookkeeping shared by the hot and cold pipelines.
 
 PR 8 took the replay recurrence out of interpreted dispatch, which left
-the *backend-shared* per-segment work — retire-time branch-predictor
+the *shared* per-segment work — retire-time branch-predictor
 training, trace-predictor bookkeeping, LRU refreshes in the trace cache
 and hotness filters, and per-segment energy-event accounting — as the
 dominant cost of the full-detail profile.  This module is the layer that
@@ -33,7 +33,7 @@ amortizes it:
   order: residents are re-ranked by their *last* journaled access.
 
 The simulator's segment loop (``_execute_segments``) drives this layer
-identically for the scalar and compiled backends, and folds
+and folds
 the remaining per-segment event traffic (trace-cache frame reads,
 filter accesses, cold fetch/decode/predictor totals) into plan-level
 reductions whose static parts come from the compiled plans themselves.
@@ -62,9 +62,8 @@ def compile_hot_training(instructions, history_bits: int):
     ``instructions`` is the committed dynamic path of the trace (the
     same representative execution the trace's uops were built from —
     per-TID path identity is the invariant all hot plans share).
-    ``history_bits`` is the owning machine's gshare history width; like
-    the compiled backend's baked widths, it makes the plan
-    machine-private, which hot plans already are.
+    ``history_bits`` is the owning machine's gshare history width, which
+    makes the plan machine-private, as hot plans already are.
 
     Returns ``(cond_ops, others, n_cti, final_shift, final_prefix,
     vec)`` where ``cond_ops`` is one ``(xor, shift, prefix, taken)``

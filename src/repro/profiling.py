@@ -20,9 +20,8 @@ import pstats
 import time
 from dataclasses import dataclass, field
 
-from repro.core.simulator import ParrotSimulator, RunOptions
+from repro.core.simulator import ParrotSimulator
 from repro.models.configs import model_config
-from repro.pipeline.columnar import ExecutionBackend
 from repro.workloads.suite import application
 
 #: Ordered (phase, path fragments) buckets; first match wins.  Paths are
@@ -31,11 +30,6 @@ from repro.workloads.suite import application
 _PHASE_BUCKETS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("walk", ("workloads/stream", "workloads/behaviors", "random.py")),
     ("select", ("trace/selection", "trace/tid")),
-    # Generated hot replay functions carry the pseudo-filename
-    # ``<repro-compiled:HASH>`` (one per plan); fold every exec'd frame
-    # plus the specializer's wrappers into a single phase instead of
-    # scattering per-hash rows through the table.
-    ("replay(compiled)", ("<repro-compiled", "pipeline/specialize")),
     # The batched per-segment bookkeeping (predictor-training plans,
     # lazy-LRU flushes) gets its own row so the shared-overhead share
     # the batching attacked stays visible in `repro profile`.
@@ -141,24 +135,20 @@ def profile_run(
     app_name: str,
     model_name: str,
     length: int = 20_000,
-    backend: ExecutionBackend = ExecutionBackend.SCALAR,
 ) -> ProfileReport:
     """Profile one simulation and attribute its time to phases.
 
     The simulator is constructed outside the profiled region (model
     configuration is one-time setup, not hot-path), so the report isolates
-    the per-run cost the optimization work targets.  ``backend`` selects
-    the hot-trace executor; compiled runs surface hot replay under
-    ``replay(compiled)``, while cold replay stays under ``execute`` on
-    every backend.
+    the per-run cost the optimization work targets.  Hot and cold replay
+    both land under ``execute``.
     """
     app = application(app_name)
     simulator = ParrotSimulator(model_config(model_name))
-    options = RunOptions(backend=backend)
     profiler = cProfile.Profile()
     start = time.perf_counter()
     profiler.enable()
-    result = simulator.simulate(app, options, length=length)
+    result = simulator.simulate(app, length=length)
     profiler.disable()
     elapsed = time.perf_counter() - start
     stats = pstats.Stats(profiler)

@@ -11,12 +11,12 @@ the CI ``adaptive-sampling-smoke`` job — the numbers in the EXPERIMENTS.md
 sampling sections all come from here.
 
 Baselines are like-for-like: the full-detail reference runs on the *same*
-source (generator stream or compiled trace artifact) and the same
-execution backend as the sampled run it is compared against, so the
-reported speedup isolates the sampling regime and never conflates it with
-artifact-replay or backend acceleration.  Estimates are deterministic —
-only the wall-clock timings vary between repeats, so ``repeat`` takes a
-best-of timing while the accuracy numbers come from the first run.
+source (generator stream or compiled trace artifact) as the sampled run
+it is compared against, so the reported speedup isolates the sampling
+regime and never conflates it with artifact-replay acceleration.
+Estimates are deterministic — only the wall-clock timings vary between
+repeats, so ``repeat`` takes a best-of timing while the accuracy numbers
+come from the first run.
 
 Speedup protocol: every sampling speedup this repository has quoted since
 the PR 4 fixed-interval table was measured fresh-process — the full-detail
@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from repro.core.simulator import ParrotSimulator, RunOptions
 from repro.errors import ConfigurationError
 from repro.models.configs import model_config
-from repro.pipeline.columnar import ExecutionBackend
 from repro.sampling.config import SamplingConfig
 from repro.sampling.estimator import SampledEstimate
 from repro.workloads.suite import application
@@ -64,7 +63,7 @@ ERROR_BOUNDS = {"ipc": 0.02, "epi": 0.05}
 
 #: Aggregate wall-clock speedup floor of the tuned adaptive regime over
 #: full detail on the golden pairs (sum of full times / sum of sampled
-#: times, like-for-like source and backend).
+#: times, like-for-like source).
 ADAPTIVE_SPEEDUP_FLOOR = 12.0
 
 
@@ -90,7 +89,6 @@ class PairAccuracy:
     app: str
     model: str
     length: int
-    backend: str
     source: str
     sampling: SamplingConfig
     full_ipc: float
@@ -147,7 +145,6 @@ class PairAccuracy:
             "app": self.app,
             "model": self.model,
             "length": self.length,
-            "backend": self.backend,
             "source": self.source,
             "mode": self.sampling.mode,
             "sampling": self.sampling.fingerprint(),
@@ -170,7 +167,7 @@ class PairAccuracy:
         """Multi-line human report of this pair (harness output)."""
         est = self.estimate
         lines = [
-            f"{self.app}/{self.model} [{self.source}/{self.backend}]:",
+            f"{self.app}/{self.model} [{self.source}]:",
             (f"  intervals {self.measured_intervals:3d}"
              + (f" over {self.phase_count} phases"
                 if est.mode == "adaptive" else "")
@@ -201,16 +198,13 @@ class AccuracyHarness:
     user-facing path); ``source="artifact"`` compiles each pair's stream
     into a trace artifact under ``root`` once and replays it for both the
     reference and the sampled run — the regression suite uses artifacts so
-    its many configurations share one compile.  ``backend`` is an
-    :class:`~repro.pipeline.columnar.ExecutionBackend` (or ``None`` for
-    the scalar default) applied to both sides of every comparison.
-    ``cold_reference=True`` times each full-detail reference in a fresh
-    interpreter instead of in-process (see the module docstring on the
-    speedup protocol); the reference *values* always come from an
-    in-process run.
+    its many configurations share one compile.  ``cold_reference=True``
+    times each full-detail reference in a fresh interpreter instead of
+    in-process (see the module docstring on the speedup protocol); the
+    reference *values* always come from an in-process run.
     """
 
-    def __init__(self, *, length: int = GOLDEN_LENGTH, backend=None,
+    def __init__(self, *, length: int = GOLDEN_LENGTH,
                  source: str = "generator", root=None, repeat: int = 1,
                  cold_reference: bool = False):
         if source not in ("generator", "artifact"):
@@ -224,17 +218,12 @@ class AccuracyHarness:
         if repeat < 1:
             raise ConfigurationError(f"repeat must be >= 1, got {repeat}")
         self.length = length
-        self.backend = backend if backend is not None else ExecutionBackend.SCALAR
         self.source = source
         self.root = root
         self.repeat = repeat
         self.cold_reference = cold_reference
         self._artifacts: dict[str, object] = {}
         self._references: dict[tuple[str, str], tuple[object, float]] = {}
-
-    @property
-    def backend_name(self) -> str:
-        return self.backend.value
 
     def _source_for(self, app_name: str):
         """The simulation source of one app under the configured mode."""
@@ -252,7 +241,7 @@ class AccuracyHarness:
              sampling: SamplingConfig | None):
         """One timed simulation; returns ``(result, best_seconds)``."""
         source = self._source_for(app_name)
-        options = RunOptions(sampling=sampling, backend=self.backend,
+        options = RunOptions(sampling=sampling,
                              estimate=sampling is not None)
         kwargs = {} if self.source == "artifact" else {"length": self.length}
         result = None
@@ -300,16 +289,13 @@ class AccuracyHarness:
         script = (
             "import sys, time\n"
             f"sys.path[:0] = {sys.path!r}\n"
-            "from repro.core.simulator import ParrotSimulator, RunOptions\n"
+            "from repro.core.simulator import ParrotSimulator\n"
             "from repro.models.configs import model_config\n"
-            "from repro.pipeline.columnar import ExecutionBackend\n"
             "from repro.workloads.suite import application\n"
             + build
-            + f"options = RunOptions("
-              f"backend=ExecutionBackend({self.backend.value!r}))\n"
-              f"sim = ParrotSimulator(model_config({model_name!r}))\n"
+            + f"sim = ParrotSimulator(model_config({model_name!r}))\n"
               "start = time.perf_counter()\n"
-              f"sim.simulate(source, options{kwargs})\n"
+              f"sim.simulate(source{kwargs})\n"
               "print(time.perf_counter() - start)\n"
         )
         best = math.inf
@@ -342,7 +328,6 @@ class AccuracyHarness:
             app=app_name,
             model=model_name,
             length=self.length,
-            backend=self.backend_name,
             source=self.source,
             sampling=sampling,
             full_ipc=full.instructions / full.cycles,

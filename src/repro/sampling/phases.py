@@ -105,8 +105,8 @@ class PhaseClassifier:
     keeps at most ``max_phases`` representatives, evicting the least
     recently matched.  Representatives are the *founding* signature of
     each phase (never updated), so the classification sequence is a pure
-    function of the signature sequence — the determinism the store-key and
-    backend-parity contracts need.
+    function of the signature sequence — the determinism the store-key
+    contract needs.
     """
 
     __slots__ = ("threshold", "max_phases", "evictions", "_table", "_next_id")

@@ -265,8 +265,7 @@ class ReproService:
         worker pool, so a warm request costs store reads only and a cold
         figure computes inline on the job thread.
         """
-        options = resolve_run_options(params.get("sampling") or "off",
-                                      params.get("backend"))
+        options = resolve_run_options(params.get("sampling") or "off")
         apps = _as_apps(params.get("apps"))
         runner = ExperimentRunner(
             length=_as_length(params.get("length")),
@@ -275,7 +274,6 @@ class ReproService:
             cache=True,
             cache_dir=self.store.root,
             sampling=options.sampling,
-            backend=options.backend,
         )
         # Swap in the shared store so the request benefits from (and
         # feeds) the in-process LRU instead of a cold per-request view.
@@ -384,8 +382,7 @@ class ReproService:
         params = job.params
         models = _as_model_list(params.get("models"))
         apps_spec = _as_apps(params.get("apps"))
-        options = resolve_run_options(params.get("sampling") or "off",
-                                      params.get("backend"))
+        options = resolve_run_options(params.get("sampling") or "off")
         runner = ExperimentRunner(
             length=_as_length(params.get("length")),
             max_apps=apps_spec if not isinstance(apps_spec, list) else None,
@@ -394,7 +391,6 @@ class ReproService:
             cache_dir=self.store.root,
             progress=progress,
             sampling=options.sampling,
-            backend=options.backend,
         )
         runner.engine.store = self.store
         apps = (

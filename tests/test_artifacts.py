@@ -16,7 +16,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.simulator import ParrotSimulator, RunOptions, segment_stream
+from repro.core.simulator import (
+    ColdPlanCache,
+    ParrotSimulator,
+    RunOptions,
+    segment_stream,
+)
 from repro.errors import WorkloadError
 from repro.experiments.engine import ExperimentEngine, ResultStore
 from repro.experiments.runner import ExperimentRunner
@@ -115,6 +120,25 @@ class TestSimulatorParity:
                 artifact, RunOptions(segments=segments)
             )
             assert shared.to_dict() == direct.to_dict()
+
+    def test_shared_cold_plans_bit_identical_hot_dominated(self, tmp_path):
+        """Artifact + shared segments + ColdPlanCache on a hot-heavy run.
+
+        swim/TON at 20k is the hot-trace-dominated golden pair: most of
+        its segments replay cached hot plans, while the shared cold plans
+        serve the rest.  The result must equal the generator path's.
+        """
+        length = 20_000
+        artifact = _compile("swim", tmp_path, length)
+        segments = artifact.segments()
+        simulator = ParrotSimulator(model_config("TON"))
+        direct = simulator.simulate(application("swim"), length=length)
+        shared = simulator.simulate(
+            artifact,
+            RunOptions(segments=segments, cold_plans=ColdPlanCache(segments)),
+        )
+        assert direct.uops_hot > direct.uops_cold
+        assert shared.to_dict() == direct.to_dict()
 
     def test_sampled_bit_identical(self, tmp_path):
         length = 60_000

@@ -1,20 +1,19 @@
 """The on-disk cache contract (:mod:`repro.cache`), run for every cache.
 
-The result store, the trace-artifact cache and the compiled-plan cache
-share one primitive, :class:`~repro.cache.DiskCache`.  Each test here
-runs once per cache through that cache's own write and load calls:
-damaged entries (truncated, foreign schema or header, decoding to the
-wrong type) are quarantined and rewritable, a write that fails midway
-leaves no tmp behind and names the key, dead writers' tmps are swept and
-live writers' tmps kept, listings survive shards and entries deleted
-underneath them, and concurrent writer processes leave one valid entry.
+The result store and the trace-artifact cache share one primitive,
+:class:`~repro.cache.DiskCache`.  Each test here runs once per cache
+through that cache's own write and load calls: damaged entries
+(truncated, foreign schema, decoding to the wrong type) are quarantined
+and rewritable, a write that fails midway leaves no tmp behind and names
+the key, dead writers' tmps are swept and live writers' tmps kept,
+listings survive shards and entries deleted underneath them, and
+concurrent writer processes leave one valid entry.
 """
 
 from __future__ import annotations
 
 import errno
 import json
-import marshal
 import multiprocessing
 import os
 import shutil
@@ -28,7 +27,6 @@ import pytest
 import repro.cache as cache_mod
 from repro.core.results import SimulationResult
 from repro.experiments.engine import ResultStore
-from repro.pipeline.specialize import CompiledPlanCache, _header
 from repro.workloads.suite import application
 from repro.workloads.tracefile import ArtifactCache, artifact_key
 
@@ -39,7 +37,6 @@ class StoreCase:
     """The result store: one JSON record per key."""
 
     name = "store"
-    best_effort = False
     dir_entries = False
 
     @staticmethod
@@ -80,7 +77,6 @@ class ArtifactCase:
     """The artifact cache: one directory per compiled stream."""
 
     name = "artifacts"
-    best_effort = False
     dir_entries = True
     APPS = ("gzip", "swim")
 
@@ -116,47 +112,7 @@ class ArtifactCase:
         monkeypatch.setattr(np, "save", _enospc_midway(np.save))
 
 
-class PlanCase:
-    """The compiled-plan cache: one marshalled code object per key."""
-
-    name = "plans"
-    best_effort = True  # a failed plan write only costs a recompile
-    dir_entries = False
-
-    @staticmethod
-    def make(root):
-        return CompiledPlanCache(root)
-
-    @staticmethod
-    def key(index: int) -> str:
-        return f"{index:02x}" + "0" * 62
-
-    def put(self, cache, index: int) -> None:
-        source = f"def replay(core, mem_lats):\n    core.extra = {index}\n"
-        cache.store(self.key(index), compile(source, "<test>", "exec"))
-
-    def get(self, cache, index: int):
-        return cache.read(self.key(index))
-
-    def damaged_file(self, cache, index: int) -> Path:
-        return cache.path(self.key(index))
-
-    def foreign(self, cache, index: int) -> None:
-        path = self.damaged_file(cache, index)
-        path.write_bytes(b"XXXX" + path.read_bytes()[4:])
-
-    def wrong_type(self, cache, index: int) -> None:
-        self.damaged_file(cache, index).write_bytes(
-            _header() + marshal.dumps(2.5)
-        )
-
-    @staticmethod
-    def break_writes(monkeypatch) -> None:
-        monkeypatch.setattr(Path, "write_bytes",
-                            _enospc_midway(Path.write_bytes))
-
-
-CASES = {case.name: case for case in (StoreCase(), ArtifactCase(), PlanCase())}
+CASES = {case.name: case for case in (StoreCase(), ArtifactCase())}
 
 
 @pytest.fixture(params=sorted(CASES))
@@ -253,11 +209,8 @@ def test_failed_write_leaves_no_tmp_and_names_the_key(case, tmp_path,
     # The same failure midway through the cache's own write path.
     with monkeypatch.context() as patch:
         case.break_writes(patch)
-        if case.best_effort:
+        with pytest.raises(OSError, match=key):
             case.put(cache, 0)
-        else:
-            with pytest.raises(OSError, match=key):
-                case.put(cache, 0)
     assert _tmp_names(tmp_path) == []
     assert case.get(cache, 0) is None and cache.keys() == []
 

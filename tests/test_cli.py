@@ -6,6 +6,7 @@ import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
+from repro.experiments.engine import ResultStore
 
 
 class TestParser:
@@ -122,6 +123,20 @@ class TestCommands:
         [runner] = cli._RUNNERS.values()
         assert runner.simulations_run == runner.runs_cached
 
+    def test_backend_compiled_prints_the_default_figure(self, capsys):
+        """``--backend compiled`` still parses and changes nothing.
+
+        Both backend values run the one executor; the benchmark's figure
+        workload passes the flag, so it must keep exiting 0.
+        """
+        argv = ["figure", "headline", "--apps", "2", "--length", "2000",
+                "--no-cache"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        cli.reset_runners()  # simulate again rather than reuse the memo
+        assert main(argv + ["--backend", "compiled"]) == 0
+        assert capsys.readouterr().out == default
+
     def test_repeated_invocations_reuse_shared_runner(self, capsys):
         argv = ["figure", "fig4_8", "--apps", "2", "--length", "1200",
                 "--no-cache"]
@@ -149,7 +164,7 @@ def _cache_info(capsys) -> dict[str, dict[str, str]]:
         else:
             name, path = line.split(None, 1)
             fields = blocks[name] = {"path": path}
-    assert list(blocks) == ["store", "artifacts", "plans"]
+    assert list(blocks) == ["store", "artifacts"]
     return blocks
 
 
@@ -198,40 +213,39 @@ class TestResultStoreCli:
     def test_cache_info_counts_corrupt_shard_and_orphan_tmp_once(
         self, capsys, dead_pid
     ):
-        """A corrupt-body compiled-plan shard is quarantined and counted
-        exactly once, an orphaned writer tmp file is swept and counted
-        exactly once, and the plans size covers only healthy shards.
+        """A corrupt result-store shard is quarantined and counted exactly
+        once, an orphaned writer tmp file is swept and counted exactly
+        once, and the store size covers only healthy shards.
         """
-        import marshal
+        from repro.core.results import SimulationResult
 
-        from repro.pipeline.specialize import CompiledPlanCache, _header
-
-        cache = CompiledPlanCache()
-        code = compile("def replay(core, mem_lats):\n    pass\n",
-                       "<test>", "exec")
+        store = ResultStore()
         key_ok = "ab" + "0" * 62
-        cache.store(key_ok, code)
-        healthy_size = cache.path(key_ok).stat().st_size
+        store.store(key_ok, SimulationResult(
+            app_name="gzip", suite="SpecInt", model_name="N",
+            instructions=100, cycles=50.0,
+        ))
+        healthy_size = store.path(key_ok).stat().st_size
 
-        # Valid header, body that decodes to a float instead of raising.
-        bad_path = cache.path("cd" + "0" * 62)
+        # Valid JSON that is not a stored record.
+        bad_path = store.path("cd" + "0" * 62)
         bad_path.parent.mkdir(parents=True, exist_ok=True)
-        bad_path.write_bytes(_header() + marshal.dumps(2.5))
+        bad_path.write_text('["not", "a", "record"]')
         orphan = bad_path.with_name(f"{bad_path.name}.tmp.{dead_pid}")
         orphan.write_bytes(b"partial write")
 
-        plans = _cache_info(capsys)["plans"]
-        assert plans["entries"] == "1"
-        assert plans["size"] == f"{healthy_size} bytes"
-        assert plans["quarantined"] == "1 corrupt"
-        assert plans["swept"] == "1 stale tmp"
+        info = _cache_info(capsys)["store"]
+        assert info["entries"] == "1"
+        assert info["size"] == f"{healthy_size} bytes"
+        assert info["quarantined"] == "1 corrupt"
+        assert info["swept"] == "1 stale tmp"
         assert not bad_path.exists() and not orphan.exists()
 
         # Both were handled (and reported) once: a rerun starts clean.
-        plans = _cache_info(capsys)["plans"]
-        assert plans["entries"] == "1"
-        assert plans["quarantined"] == "0 corrupt"
-        assert plans["swept"] == "0 stale tmp"
+        info = _cache_info(capsys)["store"]
+        assert info["entries"] == "1"
+        assert info["quarantined"] == "0 corrupt"
+        assert info["swept"] == "0 stale tmp"
 
 
 class TestShardParser:

@@ -25,7 +25,6 @@ import pytest
 import repro.core.simulator as simulator_module
 from repro.core.simulator import ParrotSimulator, RunOptions
 from repro.models.configs import model_config
-from repro.pipeline.columnar import ExecutionBackend
 from repro.pipeline.segment_batch import run_hot_training_sequential
 from repro.sampling.config import SamplingConfig
 from repro.workloads.suite import application
@@ -99,8 +98,6 @@ def test_parity_is_deterministic():
 _SAMPLING = SamplingConfig(detail=500, gap=4500, warmup=500, func_warm=1500)
 _SAMPLED_LENGTH = 20_000
 
-_BACKENDS = (ExecutionBackend.SCALAR, ExecutionBackend.COMPILED)
-
 
 def _bpred_state(bpred) -> tuple:
     stats = bpred.stats
@@ -126,9 +123,8 @@ def _tpred_state(tpred) -> tuple | None:
     )
 
 
-def _predictor_states(app_name: str, model_name: str,
-                      backend: ExecutionBackend, *, sequential: bool):
-    """Full predictor tables after a warm-skip sampled run on ``backend``.
+def _predictor_states(app_name: str, model_name: str, *, sequential: bool):
+    """Full predictor tables after a warm-skip sampled run.
 
     ``sequential=True`` swaps the batched hot-path trainer for the
     per-CTI reference loop — the oracle the batched path must match.
@@ -156,7 +152,7 @@ def _predictor_states(app_name: str, model_name: str,
         simulator = ParrotSimulator(model_config(model_name))
         simulator.simulate(
             application(app_name),
-            RunOptions(backend=backend, sampling=_SAMPLING),
+            RunOptions(sampling=_SAMPLING),
             length=_SAMPLED_LENGTH,
         )
     finally:
@@ -171,28 +167,26 @@ def _predictor_states(app_name: str, model_name: str,
 ])
 def test_predictor_state_after_warm_skip_matches_sequential(
         app_name, model_name):
-    """Batched training leaves predictor tables bit-identical, per backend.
+    """Batched training leaves predictor tables bit-identical.
 
     After ``warm_skip`` fast-forward plus detailed intervals, the gshare
     counters, global history, BTB, return-address stack, prediction stats
     and the trace predictor's full way table must equal those of a run
-    whose hot segments train the branch predictor one CTI at a time —
-    on both backends.  The golden gate pins aggregate results;
+    whose hot segments train the branch predictor one CTI at a time.
+    The golden gate pins aggregate results;
     this pins the *internal* state the batched trainer mutates, which
     aggregate counters could mask (e.g. compensating counter errors).
     """
     oracle_b, oracle_t, _ = _predictor_states(
-        app_name, model_name, ExecutionBackend.SCALAR, sequential=True
+        app_name, model_name, sequential=True
     )
-    has_trace_cache = model_config(model_name).has_trace_cache
-    for backend in _BACKENDS:
-        batched_b, batched_t, hot_trains = _predictor_states(
-            app_name, model_name, backend, sequential=False
+    batched_b, batched_t, hot_trains = _predictor_states(
+        app_name, model_name, sequential=False
+    )
+    assert batched_b == oracle_b
+    assert batched_t == oracle_t
+    if model_config(model_name).has_trace_cache:
+        assert hot_trains > 0, (
+            "sampled run never exercised the batched hot-path trainer — "
+            "the parity assertion is vacuous"
         )
-        assert batched_b == oracle_b, backend
-        assert batched_t == oracle_t, backend
-        if has_trace_cache:
-            assert hot_trains > 0, (
-                f"{backend}: sampled run never exercised the batched "
-                f"hot-path trainer — the parity assertion is vacuous"
-            )

@@ -202,13 +202,19 @@ class TestAdaptiveFaultInjection:
         assert run.result.instructions == 30_000
 
     def test_fault_paths_never_crash_either_backend(self):
+        # The degraded path above, on a trace machine whose detailed
+        # intervals replay hot traces.  Both backend values run the one
+        # hot-trace executor; ``compiled`` must change nothing.
         from repro.pipeline.columnar import ExecutionBackend
         cfg = SamplingConfig(mode="adaptive", phase_threshold=0.0, **SMALL)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SamplingWarning)
-            scalar = _simulate("eon", "TOW", 20_000, cfg)
+            run = _simulate("eon", "TOW", 20_000, cfg)
             compiled = _simulate(
                 "eon", "TOW", 20_000, cfg,
                 backend=ExecutionBackend.COMPILED,
             )
-        assert scalar.result.to_dict() == compiled.result.to_dict()
+        assert compiled.result.to_dict() == run.result.to_dict()
+        assert run.result.uops_hot > 0
+        assert len(run.estimate.intervals) == 20_000 // cfg.period
+        assert run.result.instructions == 20_000

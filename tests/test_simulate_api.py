@@ -7,7 +7,8 @@ three contracts:
 * validation is unified in ``simulate`` and raises
   :class:`~repro.errors.SimulationError` naming the offending source;
 * :class:`RunOptions` round-trips into the persistent store's run keys,
-  and backend specs parse to the two execution backends.
+  and backend specs still parse, although both values run the one
+  executor and give the default result.
 """
 
 from __future__ import annotations
@@ -146,8 +147,8 @@ class TestRunOptionsKeys:
         ) == run_key(config, "swim", 2000, sampling)
 
     def test_backend_never_splits_the_key(self):
-        # Scalar and compiled are pinned bit-identical, so either backend
-        # may serve a stored cell: the key must not depend on it.
+        # Both backend values run the one executor, so either may serve
+        # a stored cell: the key must not depend on it.
         config = model_config("TON")
         assert run_key(
             config, "swim", 2000,
@@ -160,6 +161,20 @@ class TestRunOptionsKeys:
         assert run_key(
             config, "swim", 2000, RunOptions(prewarm=False)
         ) != run_key(config, "swim", 2000, RunOptions())
+
+
+class TestBackendCompatibility:
+    def test_compiled_option_gives_the_default_result(self):
+        # The benchmark still passes backend=COMPILED; it must select the
+        # same executor as the default.
+        simulator = ParrotSimulator(model_config("TON"))
+        default = simulator.simulate(application("swim"), length=4000)
+        compiled = simulator.simulate(
+            application("swim"),
+            RunOptions(backend=ExecutionBackend.COMPILED), length=4000,
+        )
+        assert default.uops_hot > 0
+        assert compiled.to_dict() == default.to_dict()
 
 
 class TestBackendParsing:
