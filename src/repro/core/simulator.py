@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import warnings
 from collections import OrderedDict
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.core.background import BackgroundProcessor
@@ -48,7 +48,7 @@ from repro.core.config import MachineConfig
 from repro.core.results import SimulationResult, TraceUnitStats
 from repro.errors import SamplingWarning, SimulationError
 from repro.frontend.branch_predictor import BranchPredictor
-from repro.frontend.fetch import FetchParams, plan_cold_groups, trace_fetch_cycles
+from repro.frontend.fetch import plan_cold_groups, trace_fetch_cycles
 from repro.frontend.trace_predictor import TracePredictor
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.columnar import ExecutionBackend
@@ -170,9 +170,9 @@ class _Machine:
         # Cold fetch-group plan cache.  Grouping depends only on a
         # segment's instruction path, which a *complete* segment's TID
         # fully determines; incomplete tail segments can alias a real TID
-        # and are never cached.  Private per run by default; the artifact
-        # fast path passes a dict (from a ColdPlanCache) shared by every
-        # model with the same fetch parameters over the same segment list.
+        # and are never cached.  Private per run by default; a full-detail
+        # artifact run passes the artifact's dict for its fetch parameters,
+        # shared by every model replaying that artifact's one partition.
         self.cold_plans: dict[TraceId, tuple] = (
             {} if cold_plans is None else cold_plans
         )
@@ -209,12 +209,6 @@ class RunOptions:
       :class:`~repro.pipeline.columnar.ExecutionBackend` values run the
       one executor.  Kept because the benchmark passes ``COMPILED``; it
       retires in ROADMAP item 2, step 1;
-    * ``segments`` — a precomputed segment partition of an artifact's
-      stream (full-detail artifact runs only): segmentation is a pure
-      function of the committed stream, so one partition is shared across
-      every model simulating the same artifact;
-    * ``cold_plans`` — a shared :class:`ColdPlanCache` over those
-      segments;
     * ``estimate`` — return the :class:`SampledRun` (result + confidence
       intervals) instead of just the extrapolated result.
     """
@@ -222,52 +216,7 @@ class RunOptions:
     sampling: SamplingConfig | None = None
     prewarm: bool = True
     backend: ExecutionBackend = ExecutionBackend.SCALAR
-    segments: Sequence[TraceSegment] | None = None
-    cold_plans: "ColdPlanCache | None" = None
     estimate: bool = False
-
-
-class ColdPlanCache:
-    """A validated shared cold-plan store, bound to one segment list.
-
-    Cold fetch-group plans are pure functions of (segment instruction
-    path, fetch parameters), and complete segments are keyed by TID — so
-    models with equal :class:`~repro.frontend.fetch.FetchParams` replaying
-    the *same* segment list can share plans — but TID aliasing between
-    applications could silently serve a stale plan.
-
-    This class enforces that contract.  The cache holds a strong
-    reference to the segment list it was built over (list identity is the
-    fingerprint — segment lists are never copied on the sharing paths),
-    and :meth:`plans_for` refuses to serve plans for any other list.
-    Plans are further partitioned by fetch parameters, so one cache
-    instance can cover a whole model grid over one artifact.
-    """
-
-    __slots__ = ("segments", "_plans")
-
-    def __init__(self, segments: Sequence[TraceSegment]):
-        self.segments = segments
-        self._plans: dict[FetchParams, dict[TraceId, tuple]] = {}
-
-    def plans_for(
-        self,
-        segments: Sequence[TraceSegment],
-        fetch: FetchParams,
-    ) -> dict[TraceId, tuple]:
-        """The shared plan dict for one (segment list, fetch parameters).
-
-        Raises :class:`~repro.errors.SimulationError` if ``segments`` is
-        not the very list this cache was built over — the cross-stream
-        aliasing case the old contract could not detect.
-        """
-        if segments is not self.segments:
-            raise SimulationError(
-                "cold-plan cache was built over a different segment list; "
-                "TID aliasing across streams could serve a stale plan — "
-                "build one ColdPlanCache per segment list"
-            )
-        return self._plans.setdefault(fetch, {})
 
 
 def compile_cold_plan(instructions: list, params) -> tuple:
@@ -378,7 +327,6 @@ class ParrotSimulator:
         if sampling is None:
             sampling = self.config.sampling
         sampled = sampling is not None or options.estimate
-        segments = options.segments
 
         if isinstance(source, Application):
             label = f"simulate({source.name})"
@@ -392,7 +340,6 @@ class ParrotSimulator:
                     f"{label}: run length {length} must be positive"
                 )
             self._reject_stream_kwargs(label, app_name, suite, program)
-            self._reject_shared_caches(label, options)
             workload = source.build()
             stream = workload.stream(length)
             total = length
@@ -415,19 +362,16 @@ class ParrotSimulator:
                     f"({total}); do not pass one"
                 )
             self._reject_stream_kwargs(label, app_name, suite, program)
-            if sampled:
-                self._reject_shared_caches(label, options)
             name, suite_name = source.app_name, source.suite
             image = (
                 (source.prewarm_code, source.prewarm_data)
                 if options.prewarm else None
             )
-            stream = source.stream() if segments is None or sampled else None
+            stream = source.stream() if sampled else None
         elif isinstance(source, InstructionStream):
             name = app_name if app_name is not None else "custom"
             suite_name = suite if suite is not None else "Custom"
             label = f"simulate({name} stream)"
-            self._reject_shared_caches(label, options)
             if length is not None and length < 1:
                 raise SimulationError(
                     f"{label}: run length {length} must be positive"
@@ -455,15 +399,20 @@ class ParrotSimulator:
             )
             return run if options.estimate else run.result
 
-        plans = self._resolve_cold_plans(label, options, segments)
+        if isinstance(source, TraceArtifact):
+            # A full-detail artifact run replays the artifact's own
+            # partition and shares its cold plans with every model of
+            # equal fetch parameters.
+            segments = iter(source.segments())
+            plans = source.cold_plans(self.config.fetch)
+        else:
+            segments = segment_stream(stream, length)
+            plans = None
         machine = self._assemble(
             app_name=name, suite=suite_name, prewarm=image,
             cold_plans=plans,
         )
-        if segments is not None:
-            self._execute_segments(machine, iter(segments))
-        else:
-            self._execute_segments(machine, segment_stream(stream, length))
+        self._execute_segments(machine, segments)
         return self._conclude(machine)
 
     @staticmethod
@@ -473,40 +422,6 @@ class ParrotSimulator:
                 f"{label}: app_name/suite/program apply to "
                 f"InstructionStream sources only"
             )
-
-    @staticmethod
-    def _reject_shared_caches(label: str, options: RunOptions) -> None:
-        if options.segments is not None or options.cold_plans is not None:
-            raise SimulationError(
-                f"{label}: segments/cold_plans apply to full-detail "
-                f"artifact runs only"
-            )
-
-    def _resolve_cold_plans(
-        self,
-        label: str,
-        options: RunOptions,
-        segments: Sequence[TraceSegment] | None,
-    ) -> dict[TraceId, tuple] | None:
-        """The machine's cold-plan dict under ``options`` (None = private).
-
-        A :class:`ColdPlanCache` is validated against the segment list and
-        partitioned by fetch parameters.
-        """
-        cold_plans = options.cold_plans
-        if cold_plans is None:
-            return None
-        if not isinstance(cold_plans, ColdPlanCache):
-            raise SimulationError(
-                f"{label}: cold_plans must be a ColdPlanCache, "
-                f"not {type(cold_plans).__name__}"
-            )
-        if segments is None:
-            raise SimulationError(
-                f"{label}: a shared ColdPlanCache needs the matching "
-                f"segments list in the same RunOptions"
-            )
-        return cold_plans.plans_for(segments, self.config.fetch)
 
     # -- machine assembly ------------------------------------------------------
 
@@ -536,9 +451,9 @@ class ParrotSimulator:
     ) -> _Machine:
         """Build every structure of one run: core, hierarchy, predictors.
 
-        ``cold_plans`` seeds the machine's cold-plan cache with a shared
-        dict (see :meth:`simulate`); by default every machine gets a
-        private one.
+        ``cold_plans`` seeds the machine's cold-plan cache with an
+        artifact's shared dict (see :meth:`simulate`); by default every
+        machine gets a private one.
         """
         config = self.config
         events = EventCounts()

@@ -27,10 +27,10 @@ bit-identical dynamic stream — drives the scheduler: missing cells are
 grouped into per-application **chunks**, and every chunk, serial or
 pooled, runs through one :class:`ChunkRunner`.  It resolves the
 application's compiled trace artifact
-(:class:`~repro.workloads.tracefile.ArtifactCache`), its shared segment
-partition and a :class:`~repro.core.simulator.ColdPlanCache` over it once,
-and replays them for every model in the chunk (models with equal fetch
-parameters share cold plans through the cache).
+(:class:`~repro.workloads.tracefile.ArtifactCache`) once and replays it
+for every model in the chunk; the artifact itself owns the segment
+partition and the cold plans its full-detail runs share (models with
+equal fetch parameters share plans).
 The engine owns one runner for in-process cells; each pool worker, a
 reused process, keeps its own, so the runner's memos also amortise
 simulators and artifacts across everything a worker executes.
@@ -62,7 +62,7 @@ from typing import Any, Callable, Sequence
 from repro.cache import DiskCache
 from repro.core.config import MachineConfig
 from repro.core.results import SCHEMA_VERSION, SimulationResult
-from repro.core.simulator import ColdPlanCache, ParrotSimulator, RunOptions
+from repro.core.simulator import ParrotSimulator, RunOptions
 from repro.errors import ExperimentError
 from repro.models.configs import MODEL_NAMES, model_config
 from repro.pipeline.columnar import ExecutionBackend
@@ -413,9 +413,9 @@ def _decode_record(path: Path) -> dict:
 
 # -- the chunk runner ---------------------------------------------------------
 
-#: Artifact entries a chunk runner keeps alive.  One decoded instruction
-#: list plus its segment partition is the only per-app state worth
-#: holding, and chunk scheduling gives every runner app affinity.
+#: Artifacts a chunk runner keeps alive.  An artifact holds its decoded
+#: columns, segment partition and cold plans, the only per-app state
+#: worth holding, and chunk scheduling gives every runner app affinity.
 _ARTIFACT_LIMIT = 2
 
 
@@ -435,16 +435,15 @@ class ChunkRunner:
     A chunk is a list of cells sharing one application (see
     ``ExperimentEngine._plan_chunks``).  The runner resolves the app's
     compiled trace artifact once and replays it for every model of the
-    chunk.  In full-detail mode it also shares the artifact's segment
+    chunk.  Full-detail runs share what the artifact owns — its segment
     partition, which is model-independent (the selector segments the raw
-    dynamic stream before any model state exists), and a
-    :class:`~repro.core.simulator.ColdPlanCache` bound to that partition;
+    dynamic stream before any model state exists), and its cold plans;
     sampled runs drive their own interval schedule off the stream.  The
-    plan cache lives and dies with its artifact entry, so plans never
-    leak across applications.
+    plans live and die with their artifact, so they never leak across
+    applications.
 
     Simulators (one per model: ``ParrotSimulator`` keeps no state across
-    runs) and the two most recent artifact entries are memoised across
+    runs) and the two most recent artifacts are memoised across
     calls.  An :class:`ExperimentEngine` owns one
     runner for its in-process cells; each pool worker keeps one per
     artifact root (:func:`simulate_chunk`).
@@ -453,7 +452,9 @@ class ChunkRunner:
     def __init__(self, artifact_root: str | Path | None = None):
         self.artifacts = ArtifactCache(artifact_root)
         self._simulators: dict[str, ParrotSimulator] = {}
-        self._entries: OrderedDict[tuple[str, int], list] = OrderedDict()
+        self._loaded: OrderedDict[tuple[str, int], TraceArtifact] = (
+            OrderedDict()
+        )
 
     def run(
         self,
@@ -465,43 +466,31 @@ class ChunkRunner:
         hits, compiles = self.artifacts.hits, self.artifacts.compiles
         results = []
         for model_name, app_name in cells:
-            artifact, segments, plans = self._artifact(
-                app_name, length, want_segments=sampling is None
-            )
+            artifact = self._artifact(app_name, length)
             simulator = self._simulators.get(model_name)
             if simulator is None:
                 simulator = ParrotSimulator(model_config(model_name))
                 self._simulators[model_name] = simulator
             results.append(simulator.simulate(
-                artifact,
-                RunOptions(sampling=sampling, segments=segments,
-                           cold_plans=plans),
+                artifact, RunOptions(sampling=sampling)
             ))
         return ChunkRun(results, self.artifacts.hits - hits,
                         self.artifacts.compiles - compiles)
 
-    def _artifact(
-        self, app_name: str, length: int, *, want_segments: bool
-    ) -> tuple[TraceArtifact, list | None, ColdPlanCache | None]:
-        """The (artifact, shared segments, plan cache) entry of one app."""
+    def _artifact(self, app_name: str, length: int) -> TraceArtifact:
+        """The memoised artifact of one app at ``length``."""
         key = (app_name, length)
-        entry = self._entries.get(key)
-        if entry is None:
+        artifact = self._loaded.get(key)
+        if artifact is None:
             artifact = self.artifacts.get_or_compile(
                 application(app_name), length
             )
-            entry = [artifact, None, None]
-            self._entries[key] = entry
-            while len(self._entries) > _ARTIFACT_LIMIT:
-                self._entries.popitem(last=False)
+            self._loaded[key] = artifact
+            while len(self._loaded) > _ARTIFACT_LIMIT:
+                self._loaded.popitem(last=False)
         else:
-            self._entries.move_to_end(key)
-        if not want_segments:
-            return entry[0], None, None
-        if entry[1] is None:
-            entry[1] = entry[0].segments()
-            entry[2] = ColdPlanCache(entry[1])
-        return entry[0], entry[1], entry[2]
+            self._loaded.move_to_end(key)
+        return artifact
 
 
 def _run_cells(

@@ -168,22 +168,18 @@ class WarmupPolicy:
             raw = stream.consume_raw(count - consumed)
             if raw is None:
                 break
-            walker, lo, index, taken, nxt, mem = raw
+            walker, lo, index = raw
             if not index:
                 break
             if scanner is None:
-                instructions, addresses, flow, uop_counts = (
-                    walker.select_tables()
-                )
                 scanner = selector.columnar_scanner(
-                    walker.materialize, flow, uop_counts, addresses,
-                    scan=walker.scan_tables(),
+                    walker.materialize, *walker.select_tables()
                 )
             last_line = walker.warm_effects(
                 lo, lo + len(index), fetch, touch_data, predict_and_train,
                 line_shift, last_line,
             )
-            scanner.consume(lo, index, taken, nxt, consumed, on_segment)
+            scanner.consume(lo, index, consumed, on_segment)
             consumed += len(index)
         if scanner is not None:
             scanner.transfer(selector)

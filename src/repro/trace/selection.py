@@ -32,7 +32,6 @@ rather than enum chains.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from repro.isa.instruction import DynamicInstruction
@@ -124,54 +123,32 @@ class TraceSelector:
             and not self._instructions
         )
 
-    def columnar_scanner(self, materialize, flow, uop_counts,
-                         addresses, scan=None) -> "ColumnarSelector":
+    def columnar_scanner(
+        self, materialize, addresses, scan
+    ) -> "ColumnarSelector":
         """A :class:`ColumnarSelector` that can hand its state to us.
 
         Built through the selector so the warmup policy (a deliberately
         import-free module) never names the columnar class; the scanner
         shares this selector's capacity and finishes with
-        :meth:`ColumnarSelector.transfer` into it.  ``scan`` — an
-        artifact's whole-record scan tables — upgrades the scanner from
-        the per-row mirror loop to the boundary-jumping scan.
+        :meth:`ColumnarSelector.transfer` into it.  ``addresses`` and
+        ``scan`` are an artifact's static address table and whole-record
+        scan tables (``ArtifactReplayWalker.select_tables``).
         """
         return ColumnarSelector(
-            self.capacity_uops, materialize, flow, uop_counts, addresses,
-            scan=scan,
+            self.capacity_uops, materialize, addresses, scan
         )
 
     # -- feeding ------------------------------------------------------------
 
-    def feed(self, dyn: DynamicInstruction) -> list[TraceSegment]:
-        """Consume one committed instruction; return any completed segments.
-
-        At most two segments can complete on a single instruction (a
-        capacity flush followed by a join flush).
-        """
-        completed = self.advance(dyn)
-        return completed if completed is not None else []
-
-    def segments(
-        self, instructions: Iterable[DynamicInstruction]
-    ) -> Iterator[TraceSegment]:
-        """Partition a whole dynamic stream, in order (then flush).
-
-        Bulk-consumption fast path: equivalent to feeding every instruction
-        and flushing, without one list allocation per instruction.
-        """
-        advance = self.advance
-        for dyn in instructions:
-            completed = advance(dyn)
-            if completed is not None:
-                yield from completed
-        yield from self.flush()
-
     def advance(self, dyn: DynamicInstruction) -> list[TraceSegment] | None:
         """Consume one instruction; return completed segments or None.
 
-        This is the per-dynamic-instruction hot path: local bindings and
-        int dispatch throughout, no allocations on the common (no segment
-        completed) route.
+        At most two segments can complete on a single instruction (a
+        capacity flush followed by a join flush).  This is the
+        per-dynamic-instruction hot path: local bindings and int dispatch
+        throughout, no allocations on the common (no segment completed)
+        route.
         """
         completed: list[TraceSegment] | None = None
         instr = dyn.instr
@@ -391,12 +368,13 @@ class ColumnarSegment:
 class ColumnarSelector:
     """Selection over raw recorded columns (the artifact warmup fast path).
 
-    Mirrors :meth:`TraceSelector.advance` instruction for instruction,
-    but consumes plain column slices — static-table index, taken flag,
-    successor address — instead of :class:`DynamicInstruction` objects,
-    and tracks each in-progress base as a row *range* instead of
-    buffering instruction objects.  Joined bases are consecutive and
-    therefore contiguous, so a row range survives joining.
+    State- and emission-identical to feeding :meth:`TraceSelector.advance`
+    instruction by instruction, but it jumps from selection boundary to
+    boundary over an artifact's precomputed whole-record scan tables
+    instead of dispatching :class:`DynamicInstruction` objects, and
+    tracks each in-progress base as a row *range* instead of buffering
+    instruction objects.  Joined bases are consecutive and therefore
+    contiguous, so a row range survives joining.
 
     The scan ends with :meth:`transfer`, which materialises only the
     trailing in-progress state (buffered partial base + pending segment,
@@ -408,19 +386,16 @@ class ColumnarSelector:
     """
 
     __slots__ = (
-        "capacity_uops", "_materialize", "_flow", "_uop_tab", "_addr_tab",
-        "_scan", "_ctrl_ptr", "_cond_ptr",
+        "capacity_uops", "_materialize", "_addr_tab", "_scan",
+        "_ctrl_ptr", "_cond_ptr",
         "_base_lo", "_row", "_uops", "_start", "_directions",
         "_num_branches", "_context_depth", "_pending", "_pending_base_tid",
         "terminations",
     )
 
-    def __init__(self, capacity_uops: int, materialize, flow, uop_counts,
-                 addresses, scan=None):
+    def __init__(self, capacity_uops: int, materialize, addresses, scan):
         self.capacity_uops = capacity_uops
         self._materialize = materialize
-        self._flow = flow
-        self._uop_tab = uop_counts
         self._addr_tab = addresses
         self._scan = scan
         # Cursors into the scan tables' ctrl/cond row lists, positioned
@@ -445,29 +420,15 @@ class ColumnarSelector:
             "joined": 0,
         }
 
-    def consume(self, lo: int, indices, taken, nexts, offset: int,
-                on_segment) -> None:
-        """Scan one column batch starting at global row ``lo``.
+    def consume(self, lo: int, indices, offset: int, on_segment) -> None:
+        """Scan one batch of rows starting at global row ``lo``.
 
-        ``offset`` is the number of instructions already consumed in the
-        surrounding window; every completed segment is delivered through
+        ``indices`` is the batch's static-table index column; ``offset``
+        is the number of instructions already consumed in the surrounding
+        window.  Every completed segment is delivered through
         ``on_segment(segment, position)`` where ``position`` counts the
         emitting instruction (1-based, window-relative) — the same value
         the reference per-instruction loop would see in ``consumed``.
-
-        With whole-record scan tables the scan jumps boundary to
-        boundary (:meth:`_consume_scan`); without them it mirrors the
-        reference selector row by row (:meth:`_consume_rows`).  Both are
-        state- and emission-identical to feeding :meth:`TraceSelector.advance`.
-        """
-        if self._scan is not None:
-            self._consume_scan(lo, indices, offset, on_segment)
-        else:
-            self._consume_rows(lo, indices, taken, nexts, offset, on_segment)
-
-    def _consume_scan(self, lo: int, indices, offset: int,
-                      on_segment) -> None:
-        """Boundary-jumping scan over precomputed artifact tables.
 
         Instead of dispatching every row, each iteration closes one whole
         base: the next candidate terminator comes from the precomputed
@@ -475,11 +436,12 @@ class ColumnarSelector:
         counter), the cumulative-uop column answers "does it still fit?"
         in O(1) — with one ``bisect`` only on the capacity-close path —
         and the direction string is gathered from the conditional-branch
-        rows of the closed range.  Identical state transitions to the
-        per-row mirror, visiting only events.  (Assumes every instruction
-        decodes to at least one uop, as the ISA guarantees: a
-        hypothetical zero-uop row directly after an over-capacity
-        instruction would extend the base the reference loop closes.)
+        rows of the closed range.  Identical state transitions to
+        :meth:`TraceSelector.advance`, visiting only events.  (Assumes
+        every instruction decodes to at least one uop, as the ISA
+        guarantees: a hypothetical zero-uop row directly after an
+        over-capacity instruction would extend the base the reference
+        loop closes.)
         """
         cum, ctrl_rows, ctrl_kinds, cond_rows, cond_taken = self._scan
         end = lo + len(indices)
@@ -617,90 +579,6 @@ class ColumnarSelector:
         self._row = end
         self._ctrl_ptr = k
         self._cond_ptr = j
-
-    def _consume_rows(self, lo: int, indices, taken, nexts, offset: int,
-                      on_segment) -> None:
-        """Per-row mirror of :meth:`TraceSelector.advance` (no scan tables)."""
-        capacity = self.capacity_uops
-        flow = self._flow
-        uop_tab = self._uop_tab
-        addr_tab = self._addr_tab
-        terminations = self.terminations
-        uops = self._uops
-        start = self._start
-        directions = self._directions
-        num_branches = self._num_branches
-        depth = self._context_depth
-        base_lo = self._base_lo
-        row = lo
-        position = offset
-        for s, t, n in zip(indices, taken, nexts):
-            position += 1
-            num_uops = uop_tab[s]
-            if uops and uops + num_uops > capacity:
-                terminations["capacity"] += 1
-                finished = self._close_push(
-                    start, directions, num_branches, uops, base_lo, row
-                )
-                if finished is not None:
-                    on_segment(finished, position)
-                uops = 0
-                start = None
-            if start is None:
-                start = addr_tab[s]
-                directions = 0
-                num_branches = 0
-                depth = 0
-                base_lo = row
-            row += 1
-            uops += num_uops
-            code = flow[s]
-            if not code:
-                continue
-            terminate = False
-            if code == FLOW_COND_BRANCH:
-                if t:
-                    directions |= 1 << num_branches
-                    num_branches += 1
-                    if n <= addr_tab[s]:
-                        terminations["backward_taken"] += 1
-                        terminate = True
-                else:
-                    num_branches += 1
-            elif code == FLOW_DIRECT_JUMP:
-                if n <= addr_tab[s]:
-                    terminations["backward_taken"] += 1
-                    terminate = True
-            elif code == FLOW_CALL:
-                depth += 1
-            elif code == FLOW_RETURN:
-                if depth == 0:
-                    terminations["return_exit"] += 1
-                    terminate = True
-                else:
-                    depth -= 1
-            elif code == FLOW_SOFTWARE_INT:
-                terminations["exception"] += 1
-                terminate = True
-            else:  # FLOW_INDIRECT_JUMP
-                terminations["indirect"] += 1
-                terminate = True
-            if terminate:
-                finished = self._close_push(
-                    start, directions, num_branches, uops, base_lo, row
-                )
-                if finished is not None:
-                    on_segment(finished, position)
-                uops = 0
-                start = None
-                depth = 0
-        self._uops = uops
-        self._start = start
-        self._directions = directions
-        self._num_branches = num_branches
-        self._context_depth = depth
-        self._base_lo = base_lo
-        self._row = row
 
     def _close_push(self, start, directions, num_branches, uops,
                     base_lo, end_row) -> ColumnarSegment | None:

@@ -65,7 +65,6 @@ class StreamWalker:
         "_warm_line_shift",
         "_pc",
         "_call_stack",
-        "executed",
     )
 
     #: A generating walker has no recorded columns to hand out, so
@@ -100,7 +99,6 @@ class StreamWalker:
         self._warm_line_shift = -1
         self._pc = program.entry
         self._call_stack: list[int] = []
-        self.executed = 0
 
     def _compile_plan(self, instr) -> tuple:
         """Build the execution plan for one static instruction."""
@@ -260,7 +258,6 @@ class StreamWalker:
                 skipped += 1
         finally:
             self._pc = pc
-            self.executed += skipped
         # The remainder is shorter than one block: walk it as records.
         tail = self.next_batch(count - skipped)
         if profile is not None:
@@ -411,7 +408,6 @@ class StreamWalker:
                 skipped += 1
         finally:
             self._pc = pc
-            self.executed += skipped
         # The remainder is shorter than one block: walk it as records and
         # replay the same fetch -> train -> touch effects per instruction
         # (software interrupts, flow code 6, fall through untrained).
@@ -485,7 +481,6 @@ class StreamWalker:
                 pc = next_address
         finally:
             self._pc = pc
-            self.executed += len(out)
         return out
 
 
@@ -543,7 +538,8 @@ class InstructionStream:
         The columnar-warmup fast path: when the stream replays a
         recorded artifact, the rows are consumed without decoding
         :class:`DynamicInstruction` objects and returned as
-        ``(walker, lo, index, taken, next, mem)`` — ``consumed`` and the
+        ``(walker, lo, index)`` — the walker, the first row's record
+        number and the rows' static-table indices; ``consumed`` and the
         remaining budget advance exactly as a ``take_batch`` of the same
         rows would.  Returns ``None`` over a generating walker or a
         spent budget; callers must then use :meth:`take_batch`.
@@ -551,11 +547,11 @@ class InstructionStream:
         raw_batch = self._walker.raw_batch
         if raw_batch is None or self._remaining <= 0:
             return None
-        lo, index, taken, nxt, mem = raw_batch(min(count, self._remaining))
+        lo, index = raw_batch(min(count, self._remaining))
         took = len(index)
         self._remaining -= took
         self.consumed += took
-        return self._walker, lo, index, taken, nxt, mem
+        return self._walker, lo, index
 
     def skip(self, count: int, warm: tuple | None = None,
              profile: dict | None = None) -> int:

@@ -184,24 +184,18 @@ class ArtifactReplayWalker:
 
     __slots__ = (
         "_artifact", "_instructions", "_index", "_taken", "_next", "_mem",
-        "_addresses", "_trainable", "_raw", "_dyn_cti",
-        "_pos", "_total", "executed",
+        "_addresses", "_raw", "_dyn_cti", "_pos", "_total",
     )
-
-    #: Sentinel in the ``mem`` column for rows without a memory access,
-    #: exported for consumers of the raw column surface.
-    no_mem = int(_NO_MEM)
 
     def __init__(self, artifact: "TraceArtifact"):
         self._artifact = artifact
         self._instructions = artifact.instructions
         self._index, self._taken, self._next, self._mem = artifact._columns()
-        self._addresses, self._trainable = artifact._warm_tables()
+        self._addresses = artifact._address_table()
         self._raw = artifact._dyn
         self._dyn_cti = None
         self._pos = 0
         self._total = len(artifact)
-        self.executed = 0
 
     def next_batch(self, count: int) -> list[DynamicInstruction]:
         """Decode ``count`` recorded instructions in one call, in order.
@@ -226,29 +220,21 @@ class ArtifactReplayWalker:
             )
         ]
         self._pos = end
-        self.executed += len(out)
         return out
 
     def raw_batch(self, count: int):
-        """Consume up to ``count`` rows as raw column slices.
+        """Consume up to ``count`` rows without decoding them.
 
-        Returns ``(lo, index, taken, next, mem)`` — the global row number
-        of the first consumed row plus plain-list column slices — without
-        decoding any :class:`DynamicInstruction`.  The columnar-warmup
-        fast path pairs this with :meth:`select_tables` and
-        :meth:`materialize`.
+        Returns ``(lo, index)`` — the global row number of the first
+        consumed row plus its static-table index column slice — without
+        building any :class:`DynamicInstruction`.  The columnar-warmup
+        fast path pairs this with :meth:`select_tables`,
+        :meth:`warm_effects` and :meth:`materialize`.
         """
         i = self._pos
         end = min(i + count, self._total)
         self._pos = end
-        self.executed += end - i
-        return (
-            i,
-            self._index[i:end],
-            self._taken[i:end],
-            self._next[i:end],
-            self._mem[i:end],
-        )
+        return i, self._index[i:end]
 
     def materialize(self, lo: int, hi: int) -> list[DynamicInstruction]:
         """Decode recorded rows ``[lo, hi)`` independently of the cursor."""
@@ -266,25 +252,15 @@ class ArtifactReplayWalker:
         ]
 
     def select_tables(self):
-        """Static per-instruction tables for columnar selection.
+        """What columnar selection reads: ``(addresses, scan)``.
 
-        Returns ``(instructions, addresses, flow_codes, uop_counts)``,
-        indexed by the static-table index carried in the ``index``
-        column.  Shared with the owning artifact, so the decode cost is
-        paid once per loaded artifact, not per walker.
+        ``addresses`` is the per-static address table (indexed by the
+        ``index`` column) and ``scan`` the whole-record scan tables of
+        :meth:`TraceArtifact._scan_tables`.  Both are shared per artifact,
+        so the vectorized pass is paid once and every warmup window of
+        every run over the same artifact reuses it.
         """
-        addresses, _ = self._artifact._warm_tables()
-        flow, uops = self._artifact._select_tables()
-        return self._instructions, addresses, flow, uops
-
-    def scan_tables(self):
-        """Whole-record scan tables for boundary-jumping selection.
-
-        See :meth:`TraceArtifact._scan_tables`; shared per artifact, so
-        the vectorized pass is paid once and every warmup window of every
-        run over the same artifact reuses it.
-        """
-        return self._artifact._scan_tables()
+        return self._addresses, self._artifact._scan_tables()
 
     def skip(self, count: int, profile: dict | None = None) -> int:
         """Advance the cursor; no state to evolve, so this is O(1).
@@ -317,7 +293,6 @@ class ArtifactReplayWalker:
                 for value, c in zip(values.tolist(), counts.tolist()):
                     profile[value] = get(value, 0) + c
         self._pos = end
-        self.executed += n
         return n
 
     def warm_skip(self, count: int, fetch, touch, train,
@@ -337,7 +312,6 @@ class ArtifactReplayWalker:
         self._replay_warm(i, end, fetch, touch, train, line_shift, -1,
                           trainable_gate=True, touch_last=True)
         self._pos = end
-        self.executed += end - i
         return end - i
 
     def warm_effects(self, lo: int, hi: int, fetch, touch, train,
@@ -432,8 +406,8 @@ class TraceArtifact:
     __slots__ = (
         "path", "app_name", "suite", "seed", "length",
         "instructions", "prewarm_code", "prewarm_data",
-        "_dyn", "_cols", "_warm", "_select", "_warm_np", "_scan",
-        "_segments",
+        "_dyn", "_cols", "_addrs", "_warm_np", "_scan",
+        "_segments", "_cold_plans",
     )
 
     def __init__(self, path, *, app_name, suite, seed, length,
@@ -448,11 +422,11 @@ class TraceArtifact:
         self.prewarm_data = prewarm_data
         self._dyn = dyn
         self._cols = None
-        self._warm = None
-        self._select = None
+        self._addrs = None
         self._warm_np = None
         self._scan = None
         self._segments = None
+        self._cold_plans = {}
 
     @classmethod
     def load(cls, directory: str | pathlib.Path) -> "TraceArtifact":
@@ -506,44 +480,29 @@ class TraceArtifact:
             )
         return self._cols
 
-    def _warm_tables(self) -> tuple[list[int], list[bool]]:
-        """Per-static address and is-dynamic-CTI tables for warm replay.
-
-        ``trainable`` mirrors the generating walker's plan compilation:
-        flow codes 1-5 train the branch predictor, software interrupts
-        (flow code 6) are remapped to plain fall-through and never train.
-        """
-        if self._warm is None:
-            self._warm = (
-                [instr.address for instr in self.instructions],
-                [1 <= instr.flow_code <= 5 for instr in self.instructions],
-            )
-        return self._warm
-
-    def _select_tables(self) -> tuple[list[int], list[int]]:
-        """Per-static flow-code and uop-count tables (columnar selection)."""
-        if self._select is None:
-            self._select = (
-                [instr.flow_code for instr in self.instructions],
-                [instr.num_uops for instr in self.instructions],
-            )
-        return self._select
+    def _address_table(self) -> list[int]:
+        """Per-static instruction addresses, indexed by static-table index."""
+        if self._addrs is None:
+            self._addrs = [instr.address for instr in self.instructions]
+        return self._addrs
 
     def _warm_np_tables(self):
         """Per-static numpy tables for vectorized warm replay.
 
         ``(addresses, trainable, cti)`` indexed by static-table index:
         the address vector feeds the icache-line scan, ``trainable``
-        gates :meth:`ArtifactReplayWalker.warm_skip` training (flow
-        codes 1-5) and ``cti`` gates the trace-warmup window's training
-        (every CTI class, mirroring ``MacroInstruction.is_cti``).
+        gates :meth:`ArtifactReplayWalker.warm_skip` training and ``cti``
+        gates the trace-warmup window's training (every CTI class,
+        mirroring ``MacroInstruction.is_cti``).  ``trainable`` mirrors the
+        generating walker's plan compilation: flow codes 1-5 train the
+        branch predictor, software interrupts (flow code 6) are remapped
+        to plain fall-through and never train.
         """
         if self._warm_np is None:
-            addresses, trainable = self._warm_tables()
-            flow, _ = self._select_tables()
+            flow = [instr.flow_code for instr in self.instructions]
             self._warm_np = (
-                np.array(addresses, dtype=np.uint64),
-                np.array(trainable, dtype=np.bool_),
+                np.array(self._address_table(), dtype=np.uint64),
+                np.array([1 <= code <= 5 for code in flow], dtype=np.bool_),
                 np.array([code != 0 for code in flow], dtype=np.bool_),
             )
         return self._warm_np
@@ -562,14 +521,15 @@ class TraceArtifact:
         once per loaded artifact and shared by every scan over it.
         """
         if self._scan is None:
-            addresses, _ = self._warm_tables()
-            flow, uops = self._select_tables()
+            statics = self.instructions
             dyn = self._dyn
             idx = dyn["index"]
-            code = np.asarray(flow, dtype=np.int8)[idx]
+            code = np.array(
+                [instr.flow_code for instr in statics], dtype=np.int8
+            )[idx]
             taken = dyn["taken"]
-            backward = dyn["next"] <= np.asarray(
-                addresses, dtype=np.uint64
+            backward = dyn["next"] <= np.array(
+                self._address_table(), dtype=np.uint64
             )[idx]
             is_cond = code == FLOW_COND_BRANCH
             kind = np.full(len(dyn), -1, dtype=np.int8)
@@ -581,8 +541,11 @@ class TraceArtifact:
             kind[code == FLOW_SOFTWARE_INT] = 4
             ctrl = np.flatnonzero(kind >= 0)
             cond = np.flatnonzero(is_cond)
+            uops = np.array(
+                [instr.num_uops for instr in statics], dtype=np.int64
+            )
             self._scan = (
-                np.cumsum(np.asarray(uops, dtype=np.int64)[idx]).tolist(),
+                np.cumsum(uops[idx]).tolist(),
                 ctrl.tolist(),
                 kind[ctrl].tolist(),
                 cond.tolist(),
@@ -603,17 +566,25 @@ class TraceArtifact:
 
         Segmentation depends only on the recorded stream (never on the
         simulated machine), so the partition is computed once per loaded
-        artifact and shared by every simulator replaying it — the
-        cross-model amortization the engine's chunk runner relies on.  The
-        returned list's *identity* doubles as the segment-list fingerprint
-        for :class:`~repro.core.simulator.ColdPlanCache`.  Callers must
-        not mutate it.
+        artifact and replayed by every full-detail run over it.  It lives
+        as long as the artifact.  Callers must not mutate it.
         """
         if self._segments is None:
             from repro.core.simulator import segment_stream
 
             self._segments = list(segment_stream(self.stream()))
         return self._segments
+
+    def cold_plans(self, key) -> dict:
+        """The cold-plan dict that every model with fetch parameters
+        ``key`` shares over :meth:`segments`.
+
+        The simulator fills and reads it; the artifact only owns it.
+        Within one partition a complete segment's TID fixes its
+        instruction path, so a plan keyed by TID is valid for every model
+        with the same fetch parameters.
+        """
+        return self._cold_plans.setdefault(key, {})
 
 
 def compile_artifact(

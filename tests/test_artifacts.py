@@ -3,11 +3,12 @@
 The artifact layer's single correctness obligation is bit-identity: a
 stream replayed from a compiled artifact must be indistinguishable — per
 dynamic record and per simulation result — from the stream walked out of
-the generator, in every regime (full detail, shared segment lists,
-sampled).  Everything else here is plumbing: content keying, cache
-hit/miss/compile accounting, recovery from a damaged artifact, and the
-engine-level counters that surface it all (the cache contract every
-on-disk cache shares lives in ``tests/test_cache.py``).
+the generator, in every regime (full detail over the artifact's shared
+segment partition and cold plans, sampled).  Everything else here is
+plumbing: content keying, cache hit/miss/compile accounting, recovery
+from a damaged artifact, and the engine-level counters that surface it
+all (the cache contract every on-disk cache shares lives in
+``tests/test_cache.py``).
 """
 
 import json
@@ -16,12 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.simulator import (
-    ColdPlanCache,
-    ParrotSimulator,
-    RunOptions,
-    segment_stream,
-)
+from repro.core.simulator import ParrotSimulator, RunOptions
 from repro.errors import WorkloadError
 from repro.experiments.engine import ExperimentEngine, ResultStore
 from repro.experiments.runner import ExperimentRunner
@@ -111,34 +107,34 @@ class TestSimulatorParity:
         assert simulator.simulate(artifact).to_dict() == direct.to_dict()
 
     def test_shared_segments_bit_identical(self, tmp_path):
+        """Every model replays the artifact's one segment partition."""
         artifact = _compile("swim", tmp_path)
-        segments = list(segment_stream(artifact.stream()))
+        segments = artifact.segments()
         for model in ("N", "TON"):
             simulator = ParrotSimulator(model_config(model))
             direct = simulator.simulate(application("swim"), length=LENGTH)
-            shared = simulator.simulate(
-                artifact, RunOptions(segments=segments)
-            )
+            shared = simulator.simulate(artifact)
             assert shared.to_dict() == direct.to_dict()
+        assert artifact.segments() is segments
 
     def test_shared_cold_plans_bit_identical_hot_dominated(self, tmp_path):
-        """Artifact + shared segments + ColdPlanCache on a hot-heavy run.
+        """The artifact's shared segments and cold plans, hot-heavy run.
 
         swim/TON at 20k is the hot-trace-dominated golden pair: most of
-        its segments replay cached hot plans, while the shared cold plans
-        serve the rest.  The result must equal the generator path's.
+        its segments replay cached hot plans, while the artifact's shared
+        cold plans serve the rest — a second run replays the plans the
+        first one built.  Both results must equal the generator path's.
         """
         length = 20_000
         artifact = _compile("swim", tmp_path, length)
-        segments = artifact.segments()
         simulator = ParrotSimulator(model_config("TON"))
         direct = simulator.simulate(application("swim"), length=length)
-        shared = simulator.simulate(
-            artifact,
-            RunOptions(segments=segments, cold_plans=ColdPlanCache(segments)),
-        )
+        first = simulator.simulate(artifact)
+        assert artifact.cold_plans(simulator.config.fetch)
+        second = simulator.simulate(artifact)
         assert direct.uops_hot > direct.uops_cold
-        assert shared.to_dict() == direct.to_dict()
+        assert first.to_dict() == direct.to_dict()
+        assert second.to_dict() == direct.to_dict()
 
     def test_sampled_bit_identical(self, tmp_path):
         length = 60_000

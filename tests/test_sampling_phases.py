@@ -12,10 +12,10 @@ Three contracts, in the style of ``tests/test_optimizer_property.py``:
   replay produce the same profile for the same window as counting a
   ``take_batch`` walk of it, so classifier state round-trips through
   ``skip`` without divergence;
-* :class:`~repro.trace.selection.ColumnarSelector` (both its
-  boundary-jumping scan and its per-row mirror loop) segments a recorded
-  stream exactly like the reference :class:`TraceSelector`, including
-  the in-progress state handed over by ``transfer``.
+* :class:`~repro.trace.selection.ColumnarSelector`'s boundary-jumping
+  scan segments a recorded stream exactly like the reference
+  :class:`TraceSelector`, including the in-progress state handed over
+  by ``transfer``.
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ def _reference_scan(stream, total):
     return selector, segments, seen
 
 
-def _columnar_scan(stream, total, *, use_scan: bool):
+def _columnar_scan(stream, total):
     """Mirror ``_reference_scan`` through a ColumnarSelector + transfer."""
     selector = TraceSelector()
     scanner = None
@@ -236,18 +236,14 @@ def _columnar_scan(stream, total, *, use_scan: bool):
         raw = stream.consume_raw(total - consumed)
         if raw is None:
             break
-        walker, lo, index, taken, nxt, _mem = raw
+        walker, lo, index = raw
         if not index:
             break
         if scanner is None:
-            _instructions, addresses, flow, uop_counts = (
-                walker.select_tables()
-            )
             scanner = selector.columnar_scanner(
-                walker.materialize, flow, uop_counts, addresses,
-                scan=(walker.scan_tables() if use_scan else None),
+                walker.materialize, *walker.select_tables()
             )
-        scanner.consume(lo, index, taken, nxt, consumed, on_segment)
+        scanner.consume(lo, index, consumed, on_segment)
         consumed += len(index)
     if scanner is not None:
         scanner.transfer(selector)
@@ -273,18 +269,15 @@ class TestColumnarSelectorEquivalence:
     @given(
         app_name=st.sampled_from(APPS),
         total=st.integers(min_value=64, max_value=REPLAY_LENGTH),
-        use_scan=st.booleans(),
     )
     def test_segments_and_transferred_state_match_reference(
-        self, replay, app_name, total, use_scan
+        self, replay, app_name, total
     ):
         artifact = replay[app_name]
         ref_stream = artifact.stream()
         col_stream = artifact.stream()
         ref_sel, ref_segments, ref_seen = _reference_scan(ref_stream, total)
-        col_sel, col_segments, col_seen = _columnar_scan(
-            col_stream, total, use_scan=use_scan
-        )
+        col_sel, col_segments, col_seen = _columnar_scan(col_stream, total)
         assert col_seen == ref_seen
         assert (
             [_segment_key(s, p) for s, p in col_segments]
@@ -313,16 +306,19 @@ class TestColumnarSelectorEquivalence:
         )
 
     def test_scan_and_row_paths_agree_on_the_whole_record(self, replay):
-        """The boundary-jumping scan equals the per-row mirror loop."""
+        """The boundary-jumping scan equals the row-by-row reference
+        selector over every app's whole record."""
         for app_name in APPS:
             artifact = replay[app_name]
-            _sel_rows, rows, _ = _columnar_scan(
-                artifact.stream(), REPLAY_LENGTH, use_scan=False
+            ref_sel, rows, ref_seen = _reference_scan(
+                artifact.stream(), REPLAY_LENGTH
             )
-            _sel_scan, scan, _ = _columnar_scan(
-                artifact.stream(), REPLAY_LENGTH, use_scan=True
+            scan_sel, scan, scan_seen = _columnar_scan(
+                artifact.stream(), REPLAY_LENGTH
             )
+            assert scan_seen == ref_seen
             assert (
                 [_segment_key(s, p) for s, p in scan]
                 == [_segment_key(s, p) for s, p in rows]
             )
+            assert scan_sel.terminations == ref_sel.terminations

@@ -3,7 +3,8 @@
 ``ParrotSimulator.simulate`` is the one run entry point.  These tests pin
 three contracts:
 
-* shared caches and the estimate return shape never change a result;
+* an artifact's shared segments and cold plans, and the estimate return
+  shape, never change a result;
 * validation is unified in ``simulate`` and raises
   :class:`~repro.errors.SimulationError` naming the offending source;
 * :class:`RunOptions` round-trips into the persistent store's run keys,
@@ -15,13 +16,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.simulator import (
-    ColdPlanCache,
-    ParrotSimulator,
-    RunOptions,
-    SampledRun,
-    segment_stream,
-)
+from repro.core import simulator as simulator_mod
+from repro.core.simulator import ParrotSimulator, RunOptions, SampledRun
 from repro.errors import SimulationError
 from repro.experiments.engine import parse_backend, resolve_run_options, run_key
 from repro.models.configs import model_config
@@ -44,13 +40,52 @@ class TestSimulateParity:
     """Shared caches and the return shape never change a result."""
 
     def test_artifact_shared_caches_match_private_ones(self, artifact):
-        segments = artifact.segments()
-        cache = ColdPlanCache(segments)
-        private = ParrotSimulator(model_config("TON")).simulate(artifact)
-        shared = ParrotSimulator(model_config("TON")).simulate(
-            artifact, RunOptions(segments=segments, cold_plans=cache)
+        # The Application path segments its own stream and keeps private
+        # cold plans; the second artifact run replays the plans the first
+        # one left in the artifact.
+        private = ParrotSimulator(model_config("TON")).simulate(
+            application("gzip"), length=LENGTH
         )
-        assert shared.to_dict() == private.to_dict()
+        for _ in range(2):
+            shared = ParrotSimulator(model_config("TON")).simulate(artifact)
+            assert shared.to_dict() == private.to_dict()
+
+    def test_models_with_equal_fetch_share_cold_plans(
+        self, tmp_path, monkeypatch
+    ):
+        """N then TON over one artifact: TON finds every complete
+        segment's cold plan already built by N."""
+        app = application("gcc")
+        artifact = compile_artifact(app, app.seed, LENGTH, root=tmp_path)
+        models = ("N", "TON")
+        assert model_config("N").fetch == model_config("TON").fetch
+        references = {
+            name: ParrotSimulator(model_config(name)).simulate(
+                app, length=LENGTH
+            ).to_dict()
+            for name in models
+        }
+        compiles = []
+        build = simulator_mod.compile_cold_specialized
+
+        def counting(instructions, params):
+            compiles.append(len(instructions))
+            return build(instructions, params)
+
+        monkeypatch.setattr(
+            simulator_mod, "compile_cold_specialized", counting
+        )
+        counts = {}
+        for name in models:
+            del compiles[:]
+            result = ParrotSimulator(model_config(name)).simulate(artifact)
+            counts[name] = len(compiles)
+            assert result.to_dict() == references[name]
+        # An incomplete tail segment is never cached, so it alone
+        # compiles again, on the cold pipeline of every run.
+        tails = sum(not segment.complete for segment in artifact.segments())
+        assert counts["N"] > tails
+        assert counts["TON"] == tails
 
     def test_sampling_without_estimate_returns_bare_result(self):
         app = application("swim")
@@ -86,13 +121,6 @@ class TestUnifiedValidation:
                 application("swim"), length=1000, app_name="other"
             )
 
-    def test_application_rejects_shared_caches(self):
-        with pytest.raises(SimulationError,
-                           match="simulate\\(swim\\).*artifact runs only"):
-            ParrotSimulator(model_config("N")).simulate(
-                application("swim"), RunOptions(segments=[]), length=1000
-            )
-
     def test_artifact_rejects_explicit_length(self, artifact):
         with pytest.raises(SimulationError,
                            match="gzip artifact.*its own length"):
@@ -110,27 +138,6 @@ class TestUnifiedValidation:
     def test_unknown_source_type_is_named(self):
         with pytest.raises(SimulationError, match="cannot run a str"):
             ParrotSimulator(model_config("N")).simulate("swim", length=1000)
-
-    def test_cold_plan_cache_requires_matching_segments(self, artifact):
-        segments = artifact.segments()
-        foreign = list(segment_stream(artifact.stream()))
-        cache = ColdPlanCache(foreign)
-        with pytest.raises(SimulationError, match="different segment list"):
-            ParrotSimulator(model_config("N")).simulate(
-                artifact, RunOptions(segments=segments, cold_plans=cache)
-            )
-
-    def test_cold_plan_cache_requires_segments_alongside(self, artifact):
-        cache = ColdPlanCache(artifact.segments())
-        with pytest.raises(SimulationError, match="matching segments"):
-            ParrotSimulator(model_config("N")).simulate(
-                artifact, RunOptions(cold_plans=cache)
-            )
-
-    def test_bare_dict_cold_plans_are_rejected(self, artifact):
-        options = RunOptions(segments=artifact.segments(), cold_plans={})
-        with pytest.raises(SimulationError, match="must be a ColdPlanCache"):
-            ParrotSimulator(model_config("N")).simulate(artifact, options)
 
 
 class TestRunOptionsKeys:

@@ -5,9 +5,8 @@ Hot traces replay through one executor, the scalar row-replay plan
 more.  ``ExecutionBackend.COMPILED`` is still accepted, because the
 benchmark workloads pass it, and it must select that same executor.
 These tests pin that: a ``backend=COMPILED`` run reproduces the goldens
-and the default run bit-for-bit, across machine models, under fixed and
-adaptive sampling, and over an artifact with shared segments and a
-shared :class:`ColdPlanCache`.
+and the default run bit-for-bit, across machine models and under fixed and
+adaptive sampling.
 """
 
 from __future__ import annotations
@@ -17,13 +16,11 @@ import pathlib
 
 import pytest
 
-from repro.core.simulator import ColdPlanCache, ParrotSimulator, RunOptions
-from repro.errors import SimulationError
+from repro.core.simulator import ParrotSimulator, RunOptions
 from repro.models.configs import model_config
 from repro.pipeline.columnar import ExecutionBackend
 from repro.sampling.config import SamplingConfig
 from repro.workloads.suite import application
-from repro.workloads.tracefile import compile_artifact
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -115,70 +112,3 @@ def test_compiled_matches_scalar_adaptive():
             s_phase.closed, s_phase.reused)
         assert c_phase.ipc.mean == s_phase.ipc.mean
         assert c_phase.epi.mean == s_phase.epi.mean
-
-
-def test_compiled_artifact_with_shared_caches(tmp_path):
-    """Artifact + shared segments + ColdPlanCache, both backend values.
-
-    Two models with equal fetch parameters share one cache across both
-    values; each combination must match the generator-path default run.
-    swim/TON at 20k is the hot-trace-dominated golden pair.
-    """
-    for app_name, model_names, length in (("gcc", ("N", "TON"), 3000),
-                                          ("swim", ("TON",), 20_000)):
-        app = application(app_name)
-        artifact = compile_artifact(app, app.seed, length, root=tmp_path)
-        segments = artifact.segments()
-        cache = ColdPlanCache(segments)
-        for model_name in model_names:
-            reference = _simulate(model_name=model_name, app_name=app_name,
-                                  length=length, options=RunOptions())
-            for backend in ExecutionBackend:
-                result = ParrotSimulator(model_config(model_name)).simulate(
-                    artifact,
-                    RunOptions(backend=backend, segments=segments,
-                               cold_plans=cache),
-                )
-                assert result.to_dict() == reference, (
-                    app_name, model_name, backend
-                )
-
-
-class TestColdPlanCache:
-
-    def test_refuses_foreign_segment_list(self, tmp_path):
-        app = application("gcc")
-        artifact = compile_artifact(app, app.seed, 2000, root=tmp_path)
-        segments = artifact.segments()
-        cache = ColdPlanCache(segments)
-        simulator = ParrotSimulator(model_config("TON"))
-        foreign = list(segments)  # equal content, different identity
-        with pytest.raises(SimulationError, match="different segment list"):
-            simulator.simulate(
-                artifact,
-                RunOptions(backend=ExecutionBackend.COMPILED,
-                           segments=foreign, cold_plans=cache),
-            )
-
-    def test_backends_share_one_cold_plan_dict(self, tmp_path):
-        """Both backend values replay the same cold plans from one cache."""
-        app = application("gcc")
-        artifact = compile_artifact(app, app.seed, 2000, root=tmp_path)
-        segments = artifact.segments()
-        cache = ColdPlanCache(segments)
-        plans = cache.plans_for(segments, model_config("TON").fetch)
-        results = {}
-        for backend in (ExecutionBackend.SCALAR, ExecutionBackend.COMPILED):
-            before = dict(plans)
-            results[backend] = ParrotSimulator(model_config("TON")).simulate(
-                artifact,
-                RunOptions(backend=backend, segments=segments,
-                           cold_plans=cache),
-            ).to_dict()
-        assert before, "the scalar run cached no cold plan"
-        # The compiled run found every plan it needed: no new key, and
-        # each cached plan is the very object the scalar run built.
-        assert plans.keys() == before.keys()
-        assert all(plans[tid] is plan for tid, plan in before.items())
-        assert (results[ExecutionBackend.COMPILED]
-                == results[ExecutionBackend.SCALAR])

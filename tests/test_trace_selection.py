@@ -25,7 +25,7 @@ def _dyn(address, iclass=InstrClass.SIMPLE_ALU, taken=False, target=None,
 def _feed_all(selector, instrs):
     segments = []
     for dyn in instrs:
-        segments.extend(selector.feed(dyn))
+        segments.extend(selector.advance(dyn) or ())
     segments.extend(selector.flush())
     return segments
 
