@@ -109,7 +109,7 @@ def segment_stream(
     """
     if selector is None:
         selector = TraceSelector()
-    advance = selector.advance
+    feed = selector.feed
     take_batch = stream.take_batch
     remaining = limit
     while True:
@@ -123,10 +123,8 @@ def segment_stream(
             break
         if remaining is not None:
             remaining -= len(batch)
-        for dyn in batch:
-            completed = advance(dyn)
-            if completed is not None:
-                yield from completed
+        for segment, _position in feed(batch):
+            yield segment
     yield from selector.flush()
 
 

@@ -86,13 +86,20 @@ class WarmupPolicy:
         trace predictor's path history) flow continuously from warmup into
         measurement.  ``cpi`` paces the synthetic warmup clock the
         background phases observe.
+
+        Each batch first replays its warming effects (icache probe per
+        new line, dcache touch per access, predictor training per CTI),
+        then runs through :meth:`TraceSelector.feed`, training the trace
+        machinery on every completed segment.  Warming and trace-machinery
+        training touch disjoint components, and each segment trains
+        against the clock of its own stream position, so batching is
+        state-identical to interleaving them per instruction.
         """
         hierarchy = self.hierarchy
-        bpred = self.bpred
         fetch = hierarchy.warm_fetch
         touch_data = hierarchy.warm_data
-        predict_and_train = bpred.warm_train
-        advance = selector.advance
+        predict_and_train = self.bpred.warm_train
+        feed = selector.feed
         train_segment = self._train_segment
         line_shift = self._line_shift
         clock = self.core.cycles if self.core is not None else 0.0
@@ -107,7 +114,6 @@ class WarmupPolicy:
                 if not batch:
                     break
                 for dyn in batch:
-                    consumed += 1
                     instr = dyn.instr
                     line = instr.address >> line_shift
                     if line != last_line:
@@ -120,11 +126,9 @@ class WarmupPolicy:
                         touch_data(dyn.mem_addr)
                     if instr.is_cti:
                         predict_and_train(instr, dyn.taken, dyn.next_address)
-                    completed = advance(dyn)
-                    if completed is not None:
-                        now = clock + consumed * cpi
-                        for segment in completed:
-                            train_segment(segment, now)
+                for segment, position in feed(batch, consumed):
+                    train_segment(segment, clock + position * cpi)
+                consumed += len(batch)
         finally:
             self._unshield(saved)
         return consumed
@@ -141,13 +145,14 @@ class WarmupPolicy:
         hands its in-progress state to ``selector`` at the end of the
         window.  Warming effects and trace-machinery training touch
         disjoint components, so batching them per column block is
-        state-identical to the reference interleaved loop — the synthetic
-        clock each completed segment trains against depends only on its
-        stream position, which the scanner reports exactly.
+        state-identical to interleaving them per instruction — the
+        synthetic clock each completed segment trains against depends only
+        on its stream position, which the scanner reports exactly, as
+        :meth:`TraceSelector.feed` does for the object-fed loop.
 
         Returns the number of instructions consumed; ``0`` means the fast
         path does not apply (generating walker, or a selector that
-        already holds state) and the caller must run the reference loop.
+        already holds state) and the caller must run the object-fed loop.
         """
         if count <= 0 or not selector.pristine:
             return 0

@@ -141,76 +141,101 @@ class TraceSelector:
 
     # -- feeding ------------------------------------------------------------
 
-    def advance(self, dyn: DynamicInstruction) -> list[TraceSegment] | None:
-        """Consume one instruction; return completed segments or None.
+    def feed(
+        self, batch: list[DynamicInstruction], offset: int = 0
+    ) -> list[tuple[TraceSegment, int]]:
+        """Run selection over one batch of committed instructions.
 
-        At most two segments can complete on a single instruction (a
-        capacity flush followed by a join flush).  This is the
-        per-dynamic-instruction hot path: local bindings and int dispatch
-        throughout, no allocations on the common (no segment completed)
-        route.
+        Returns the segments completed inside the batch, in order, as
+        ``(segment, position)`` pairs: ``position`` counts the emitting
+        instruction, 1-based and relative to a window in which ``offset``
+        instructions were consumed before this batch — the same shape
+        :meth:`ColumnarSelector.consume` reports.  At most two segments
+        complete on one instruction (a capacity flush followed by a join
+        flush).
+
+        This is the per-dynamic-instruction hot path of every
+        simulation: the selection state lives in locals for the whole
+        batch, with int dispatch on the precomputed flow code.  Splitting
+        a stream into batches differently changes nothing but the
+        ``offset`` bookkeeping.
         """
-        completed: list[TraceSegment] | None = None
-        instr = dyn.instr
-        num_uops = instr.num_uops
-
-        # Capacity: terminate *before* an instruction that would overflow.
+        completed: list[tuple[TraceSegment, int]] = []
+        capacity = self.capacity_uops
+        terminations = self.terminations
+        instructions = self._instructions
         uops = self._uops
-        if uops and uops + num_uops > self.capacity_uops:
-            self.terminations["capacity"] += 1
-            finished = self._push_base(self._close_base())
-            if finished is not None:
-                completed = [finished]
-
-        if self._start is None:
-            self._start = instr.address
-            self._directions = 0
-            self._num_branches = 0
-            self._context_depth = 0
-
-        self._instructions.append(dyn)
-        self._uops += num_uops
-
-        code = instr.flow_code
-        if not code:
-            return completed
-
-        terminate = False
-        if code == FLOW_COND_BRANCH:
-            if dyn.taken:
-                self._directions |= 1 << self._num_branches
-                self._num_branches += 1
-                if dyn.next_address <= instr.address:
-                    self.terminations["backward_taken"] += 1
-                    terminate = True
-            else:
-                self._num_branches += 1
-        elif code == FLOW_DIRECT_JUMP:
-            if dyn.next_address <= instr.address:
-                self.terminations["backward_taken"] += 1
-                terminate = True
-        elif code == FLOW_CALL:
-            self._context_depth += 1
-        elif code == FLOW_RETURN:
-            if self._context_depth == 0:
-                self.terminations["return_exit"] += 1
-                terminate = True
-            else:
-                self._context_depth -= 1
-        elif code == FLOW_SOFTWARE_INT:
-            self.terminations["exception"] += 1
-            terminate = True
-        else:  # FLOW_INDIRECT_JUMP
-            self.terminations["indirect"] += 1
-            terminate = True
-
-        if terminate:
-            finished = self._push_base(self._close_base())
-            if finished is not None:
-                if completed is None:
-                    completed = [finished]
+        start = self._start
+        directions = self._directions
+        num_branches = self._num_branches
+        depth = self._context_depth
+        position = offset
+        for dyn in batch:
+            position += 1
+            instr = dyn.instr
+            num_uops = instr.num_uops
+            # Capacity: terminate *before* an instruction that would overflow.
+            if uops and uops + num_uops > capacity:
+                terminations["capacity"] += 1
+                finished = self._push_base(
+                    start, directions, num_branches, instructions, uops
+                )
+                if finished is not None:
+                    completed.append((finished, position))
+                instructions = []
+                uops = 0
+                start = None
+            if start is None:
+                start = instr.address
+                directions = 0
+                num_branches = 0
+                depth = 0
+            instructions.append(dyn)
+            uops += num_uops
+            code = instr.flow_code
+            if not code:
+                continue
+            if code == FLOW_COND_BRANCH:
+                if dyn.taken:
+                    directions |= 1 << num_branches
+                    num_branches += 1
+                    if dyn.next_address > instr.address:
+                        continue
+                    terminations["backward_taken"] += 1
                 else:
-                    completed.append(finished)
+                    num_branches += 1
+                    continue
+            elif code == FLOW_DIRECT_JUMP:
+                if dyn.next_address > instr.address:
+                    continue
+                terminations["backward_taken"] += 1
+            elif code == FLOW_CALL:
+                depth += 1
+                continue
+            elif code == FLOW_RETURN:
+                if depth:
+                    depth -= 1
+                    continue
+                terminations["return_exit"] += 1
+            elif code == FLOW_SOFTWARE_INT:
+                terminations["exception"] += 1
+            else:  # FLOW_INDIRECT_JUMP
+                terminations["indirect"] += 1
+            # A terminating CTI closes the base.
+            finished = self._push_base(
+                start, directions, num_branches, instructions, uops
+            )
+            if finished is not None:
+                completed.append((finished, position))
+            instructions = []
+            uops = 0
+            start = None
+        self._instructions = instructions
+        self._uops = uops
+        self._start = start
+        self._directions = directions
+        self._num_branches = num_branches
+        self._context_depth = depth
         return completed
 
     def flush(self) -> list[TraceSegment]:
@@ -226,33 +251,26 @@ class TraceSelector:
             self._pending = None
             self._pending_base_tid = None
         if self._instructions:
-            tid, instructions, uop_count = self._close_base()
             completed.append(
                 TraceSegment(
-                    tid=tid,
-                    instructions=instructions,
-                    uop_count=uop_count,
+                    tid=intern_tid(
+                        self._start,
+                        self._directions,
+                        self._num_branches,
+                        len(self._instructions),
+                    ),
+                    instructions=self._instructions,
+                    uop_count=self._uops,
                     complete=False,
                 )
             )
+            self._instructions = []
+            self._uops = 0
+            self._start = None
+            self._context_depth = 0
         return completed
 
     # -- internals -----------------------------------------------------------
-
-    def _close_base(self) -> tuple[TraceId, list[DynamicInstruction], int]:
-        assert self._start is not None
-        tid = intern_tid(
-            self._start,
-            self._directions,
-            self._num_branches,
-            len(self._instructions),
-        )
-        base = (tid, self._instructions, self._uops)
-        self._instructions = []
-        self._uops = 0
-        self._start = None
-        self._context_depth = 0
-        return base
 
     def load_state(
         self,
@@ -286,9 +304,11 @@ class TraceSelector:
             self.terminations[cause] += count
 
     def _push_base(
-        self, base: tuple[TraceId, list[DynamicInstruction], int]
+        self, start: int, directions: int, num_branches: int,
+        instructions: list[DynamicInstruction], uop_count: int,
     ) -> TraceSegment | None:
-        """Join consecutive identical base segments up to capacity.
+        """Close a base segment and join consecutive identical bases up
+        to capacity; returns the pending segment the base displaced.
 
         Because selection is a pure function of the committed stream, an
         interned TID fully identifies a base segment's instruction path
@@ -296,7 +316,7 @@ class TraceSelector:
         comparison ``tid is self._pending_base_tid`` — no per-instruction
         address comparison.
         """
-        tid, instructions, uop_count = base
+        tid = intern_tid(start, directions, num_branches, len(instructions))
         pending = self._pending
         if (
             pending is not None
@@ -368,8 +388,8 @@ class ColumnarSegment:
 class ColumnarSelector:
     """Selection over raw recorded columns (the artifact warmup fast path).
 
-    State- and emission-identical to feeding :meth:`TraceSelector.advance`
-    instruction by instruction, but it jumps from selection boundary to
+    State- and emission-identical to :meth:`TraceSelector.feed` over the
+    same instructions, but it jumps from selection boundary to
     boundary over an artifact's precomputed whole-record scan tables
     instead of dispatching :class:`DynamicInstruction` objects, and
     tracks each in-progress base as a row *range* instead of buffering
@@ -437,7 +457,7 @@ class ColumnarSelector:
         in O(1) — with one ``bisect`` only on the capacity-close path —
         and the direction string is gathered from the conditional-branch
         rows of the closed range.  Identical state transitions to
-        :meth:`TraceSelector.advance`, visiting only events.  (Assumes
+        :meth:`TraceSelector.feed`, visiting only events.  (Assumes
         every instruction decodes to at least one uop, as the ISA
         guarantees: a hypothetical zero-uop row directly after an
         over-capacity instruction would extend the base the reference

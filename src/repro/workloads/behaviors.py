@@ -16,7 +16,9 @@ SpecInt behaviour).
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 
 
 # --------------------------------------------------------------------------
@@ -79,90 +81,124 @@ BranchSpec = (
 )
 
 
+# Runtime states.  Each draw is the innermost call of the stream walker's
+# fast-forward, so every state binds its constants and RNG methods into a
+# closure once: one draw is one Python frame.  The closures make exactly
+# the RNG calls the stdlib would (``randrange``/``randint`` through the
+# ``getrandbits`` rejection loop of ``Random._randbelow_with_getrandbits``,
+# ``choices`` through one ``bisect`` over the cumulative weights), so the
+# shared RNG stream is the one ``random.Random`` itself produces; a
+# property test pins the equivalence (tests/test_workloads_behaviors.py).
+
+
 class _LoopState:
-    __slots__ = ("spec", "rng", "remaining", "_fixed_trip")
+    """Loop back-edge: ``next_taken()`` is taken while iterations remain."""
+
+    __slots__ = ("next_taken",)
 
     def __init__(self, spec: LoopBranchSpec, rng: random.Random):
-        self.spec = spec
-        self.rng = rng
-        self._fixed_trip = self._draw() if spec.fixed else None
-        self.remaining = self._fixed_trip if spec.fixed else self._draw()
+        lo = spec.trip_lo
+        width = spec.trip_hi + 1 - lo
+        getrandbits = rng.getrandbits
+        bits = width.bit_length()
 
-    def _draw(self) -> int:
-        if self.spec.trip_hi > self.spec.trip_lo:
-            return self.rng.randint(self.spec.trip_lo, self.spec.trip_hi)
-        return self.spec.trip_lo
+        def _draw() -> int:
+            # ``rng.randint(lo, hi)`` inlined: ``lo + _randbelow(width)``.
+            r = getrandbits(bits)
+            while r >= width:
+                r = getrandbits(bits)
+            return lo + r
 
-    def next_taken(self) -> bool:
-        """Back-edge is taken while iterations remain; reset on exit."""
-        self.remaining -= 1
-        if self.remaining > 0:
-            return True
-        self.remaining = (
-            self._fixed_trip if self._fixed_trip is not None else self._draw()
-        )
-        return False
+        variable = width > 1
+        trip = _draw() if variable else lo
+        remaining = trip
+
+        if variable and not spec.fixed:
+            def next_taken() -> bool:
+                nonlocal remaining
+                remaining -= 1
+                if remaining > 0:
+                    return True
+                remaining = _draw()  # data-dependent bound: redraw per entry
+                return False
+        else:
+            def next_taken() -> bool:
+                nonlocal remaining
+                remaining -= 1
+                if remaining > 0:
+                    return True
+                remaining = trip
+                return False
+
+        self.next_taken = next_taken
 
 
 class _BiasedState:
-    __slots__ = ("p", "rng")
+    """Taken with probability ``p_taken``: one ``rng.random()`` per
+    execution (biased and data-dependent branches alike)."""
 
-    def __init__(self, spec: BiasedBranchSpec, rng: random.Random):
-        self.p = spec.p_taken
-        self.rng = rng
+    __slots__ = ("next_taken",)
 
-    def next_taken(self) -> bool:
-        return self.rng.random() < self.p
+    def __init__(self, spec: BiasedBranchSpec | DataDependentBranchSpec,
+                 rng: random.Random):
+        draw = rng.random
+        p = spec.p_taken
+
+        def next_taken() -> bool:
+            return draw() < p
+
+        self.next_taken = next_taken
 
 
 class _PatternState:
-    __slots__ = ("pattern", "index")
+    """A periodic direction pattern drawn once at construction."""
+
+    __slots__ = ("next_taken",)
 
     def __init__(self, spec: PatternBranchSpec, rng: random.Random):
-        self.pattern = [rng.random() < spec.p_taken for _ in range(spec.period)]
-        if not any(self.pattern):
-            self.pattern[0] = True
-        self.index = 0
+        pattern = [rng.random() < spec.p_taken for _ in range(spec.period)]
+        if not any(pattern):
+            pattern[0] = True
+        period = len(pattern)
+        index = 0
 
-    def next_taken(self) -> bool:
-        taken = self.pattern[self.index]
-        self.index = (self.index + 1) % len(self.pattern)
-        return taken
+        def next_taken() -> bool:
+            nonlocal index
+            taken = pattern[index]
+            index = (index + 1) % period
+            return taken
 
-
-class _DataDependentState:
-    __slots__ = ("p", "rng")
-
-    def __init__(self, spec: DataDependentBranchSpec, rng: random.Random):
-        self.p = spec.p_taken
-        self.rng = rng
-
-    def next_taken(self) -> bool:
-        return self.rng.random() < self.p
+        self.next_taken = next_taken
 
 
 class _SwitchState:
-    __slots__ = ("weights", "rng", "n")
+    """Indirect jump: ``next_index()`` draws a target index by weight."""
+
+    __slots__ = ("next_index",)
 
     def __init__(self, spec: SwitchSpec, rng: random.Random):
-        self.n = spec.n_targets
-        self.weights = [1.0 / (i + 1) ** spec.skew for i in range(spec.n_targets)]
-        self.rng = rng
+        weights = [1.0 / (i + 1) ** spec.skew for i in range(spec.n_targets)]
+        # ``rng.choices(range(n), weights=weights, k=1)[0]`` with its
+        # cumulative weights built once instead of per draw.
+        cum = list(accumulate(weights))
+        total = cum[-1] + 0.0
+        hi = len(cum) - 1
+        draw = rng.random
 
-    def next_index(self) -> int:
-        return self.rng.choices(range(self.n), weights=self.weights, k=1)[0]
+        def next_index() -> int:
+            return bisect(cum, draw() * total, 0, hi)
+
+        self.next_index = next_index
 
 
 def make_branch_state(spec: BranchSpec, rng: random.Random):
     """Instantiate the mutable runtime state for a branch spec."""
     if isinstance(spec, LoopBranchSpec):
         return _LoopState(spec, rng)
-    if isinstance(spec, BiasedBranchSpec):
+    if isinstance(spec, (BiasedBranchSpec, DataDependentBranchSpec)):
         return _BiasedState(spec, rng)
     if isinstance(spec, PatternBranchSpec):
         return _PatternState(spec, rng)
-    if isinstance(spec, DataDependentBranchSpec):
-        return _DataDependentState(spec, rng)
     raise TypeError(f"unknown branch spec {spec!r}")
 
 
@@ -204,28 +240,45 @@ MemSpec = StrideMemSpec | RandomMemSpec
 
 
 class _StrideMemState:
-    __slots__ = ("spec", "offset")
+    """Sequential access: ``base + offset``, the offset wrapping at ``extent``."""
+
+    __slots__ = ("next_address",)
 
     def __init__(self, spec: StrideMemSpec):
-        self.spec = spec
-        self.offset = 0
+        base = spec.base
+        stride = spec.stride
+        extent = max(spec.extent, 1)
+        offset = 0
 
-    def next_address(self) -> int:
-        addr = self.spec.base + self.offset
-        self.offset = (self.offset + self.spec.stride) % max(self.spec.extent, 1)
-        return addr
+        def next_address() -> int:
+            nonlocal offset
+            addr = base + offset
+            offset = (offset + stride) % extent
+            return addr
+
+        self.next_address = next_address
 
 
 class _RandomMemState:
-    __slots__ = ("spec", "rng")
+    """Uniform random 8-byte-aligned access within the spec's region."""
+
+    __slots__ = ("next_address",)
 
     def __init__(self, spec: RandomMemSpec, rng: random.Random):
-        self.spec = spec
-        self.rng = rng
+        base = spec.base
+        # ``rng.randrange(n)`` inlined: the ``_randbelow`` rejection loop.
+        n = max(spec.extent, 8)
+        bits = n.bit_length()
+        getrandbits = rng.getrandbits
 
-    def next_address(self) -> int:
-        # Align to 8 bytes like typical scalar accesses.
-        return self.spec.base + (self.rng.randrange(max(self.spec.extent, 8)) & ~7)
+        def next_address() -> int:
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            # Align to 8 bytes like typical scalar accesses.
+            return base + (r & ~7)
+
+        self.next_address = next_address
 
 
 def make_mem_state(spec: MemSpec, rng: random.Random):

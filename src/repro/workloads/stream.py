@@ -16,6 +16,7 @@ committed segment.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from repro.errors import WorkloadError
 from repro.isa.instruction import DynamicInstruction
@@ -62,7 +63,7 @@ class StreamWalker:
         "_plans",
         "_skip_blocks",
         "_warm_blocks",
-        "_warm_line_shift",
+        "_warm_key",
         "_pc",
         "_call_stack",
     )
@@ -90,13 +91,14 @@ class StreamWalker:
         #             next_address, next_index, switch_targets), built lazily
         # so never-executed instructions cost nothing.
         self._plans: dict[int, tuple] = {}
-        # address -> (count, effects, exit_pc) basic-block skip plans (see
-        # _compile_skip_block), built lazily by :meth:`skip`.
+        # address -> fused skip block (count, effects, exit_pc,
+        # terminator_plan) (see _compile_skip_block), built lazily by
+        # :meth:`skip`.
         self._skip_blocks: dict[int, tuple] = {}
         # Same idea with warming effects (see _compile_warm_block); valid
-        # for one icache line_shift at a time.
+        # for one (fetch, train, line_shift) binding at a time.
         self._warm_blocks: dict[int, tuple] = {}
-        self._warm_line_shift = -1
+        self._warm_key: tuple | None = None
         self._pc = program.entry
         self._call_stack: list[int] = []
 
@@ -127,135 +129,138 @@ class StreamWalker:
     #: into the next one).
     _SKIP_BLOCK_CAP = 128
 
-    def _compile_skip_block(self, start: int) -> tuple:
-        """Compile the basic block at ``start`` for block-granular skipping.
+    def _block_extent(self, start: int, on_static) -> tuple:
+        """Walk the deterministic stretch of static control flow at ``start``.
 
-        Walks the *static* control flow from ``start`` for as long as it
-        stays deterministic — plain instructions, direct jumps and calls —
+        Follows plain instructions, direct jumps and calls — whose
+        successors are static — calling ``on_static(pc, plan)`` for each,
         and stops at the first instruction whose outcome consumes dynamic
-        state (conditional branch, indirect jump, return) or is unmapped.
-        Returns ``(count, effects, exit_pc)``: ``count`` instructions are
-        covered, ``effects`` is the ordered sequence of side effects a walk
-        of the block performs — ``(True, fallthrough)`` pushes a call's
-        return address, ``(False, next_mem)`` draws one memory address —
-        and ``exit_pc`` is where per-instruction stepping resumes.  Replaying
-        the effects in order keeps the shared RNG and the call stack
-        bit-identical to an instruction-by-instruction walk.
+        state (conditional branch, return, indirect jump), at an unmapped
+        address, or after :attr:`_SKIP_BLOCK_CAP` instructions.  Returns
+        ``(count, exit_pc, terminator_plan)``: the terminator is the
+        instruction at ``exit_pc``, stepped individually after the block,
+        and its plan is ``None`` when ``exit_pc`` is unmapped.
         """
         plans_get = self._plans.get
         instructions = self.program.instructions
-        effects: list[tuple] = []
         pc = start
         n = 0
-        while n < self._SKIP_BLOCK_CAP:
+        while True:
             plan = plans_get(pc)
             if plan is None:
                 instr = instructions.get(pc)
                 if instr is None:
-                    break  # unmapped: let the stepping path raise
+                    return n, pc, None
                 plan = self._compile_plan(instr)
             code = plan[1]
-            next_mem = plan[5]
-            if code == 0:
-                if next_mem is not None:
-                    effects.append((False, next_mem))
-                pc = plan[3]
-            elif code == 2:  # FLOW_DIRECT_JUMP
-                if next_mem is not None:
-                    effects.append((False, next_mem))
-                pc = plan[2]
-            elif code == 3:  # FLOW_CALL
-                effects.append((True, plan[3]))
-                if next_mem is not None:
-                    effects.append((False, next_mem))
-                pc = plan[2]
-            else:
-                break  # cond branch / return / indirect: dynamic outcome
+            if code not in (0, 2, 3) or n == self._SKIP_BLOCK_CAP:
+                return n, pc, plan
+            on_static(pc, plan)
+            pc = plan[3] if code == 0 else plan[2]
             n += 1
-        block = (n, tuple(effects), pc)
+
+    def _compile_skip_block(self, start: int) -> tuple:
+        """Compile the basic block at ``start`` for block-granular skipping.
+
+        Returns ``(count, effects, exit_pc, terminator_plan)`` (see
+        :meth:`_block_extent`): ``effects`` is the flat, ordered tuple of
+        zero-argument side effects a walk of the ``count`` block
+        instructions performs — a memory instruction's address draw (the
+        behaviour state's bound ``next_address``) and a call's
+        return-address push (``partial(call_stack.append, ret)``).
+        Calling them in order keeps the shared RNG and the call stack
+        bit-identical to an instruction-by-instruction walk, and carrying
+        the terminator's plan lets one dict probe cover the block and the
+        instruction that ends it.
+        """
+        push = self._call_stack.append
+        effects: list = []
+
+        def on_static(_pc, plan):
+            if plan[1] == 3:  # FLOW_CALL: push the return address
+                effects.append(partial(push, plan[3]))
+            if plan[5] is not None:
+                effects.append(plan[5])
+
+        n, exit_pc, terminator = self._block_extent(start, on_static)
+        block = (n, tuple(effects), exit_pc, terminator)
         self._skip_blocks[start] = block
         return block
+
+    def _unmapped_error(self, pc: int) -> WorkloadError:
+        """The fault of control flowing to ``pc``, which holds no instruction."""
+        return WorkloadError(
+            f"{self.program.name}: control flowed to unmapped address {pc:#x}"
+        )
+
+    def _empty_stack_error(self, pc: int) -> WorkloadError:
+        """The fault of the return at ``pc`` finding no return address."""
+        return WorkloadError(
+            f"{self.program.name}: return with empty call stack at {pc:#x}"
+        )
 
     def skip(self, count: int, profile: dict | None = None) -> int:
         """Advance ``count`` instructions without materialising them.
 
         The fast-forward path of the sampled simulator: identical control
         flow and behaviour-state evolution to :meth:`next_batch` (every
-        branch/memory/switch behaviour method is still called, so the RNG
-        stream and walker state stay bit-identical to a full walk), but
-        :class:`~repro.isa.instruction.DynamicInstruction` records are
-        allocated only for the final partial block.  Straight-line
-        stretches advance a compiled basic block at a time (one dict
-        probe + the block's behaviour calls); only instructions with
-        dynamic outcomes step individually.  Returns the number of
-        instructions skipped (always ``count`` unless control flow faults).
+        branch/memory/switch draw is still made, in the same order, so
+        the RNG stream and walker state stay bit-identical to a full
+        walk), but :class:`~repro.isa.instruction.DynamicInstruction`
+        records are allocated only for the final partial block.  The
+        walk advances a *fused block* at a time: one dict probe yields
+        the compiled basic block — its count, its flat tuple of
+        zero-argument effects (address draws and call pushes), its exit
+        address — and the plan of the dynamic instruction that ends it,
+        which is then resolved inline.  Each behaviour draw is a single
+        Python frame (see :mod:`repro.workloads.behaviors`).  Returns
+        the number of instructions skipped (always ``count`` unless
+        control flow faults).
 
         ``profile`` — a mutable mapping — additionally counts the resolved
         successor of every dynamic CTI (:data:`_DYN_CTI_FLOWS`) into it,
         the phase-signature observer of the adaptive sampler.  Dynamic
-        CTIs are exactly the instructions this path steps individually, so
-        profiling adds no work to the block-granular fast path.
+        CTIs are exactly the block terminators, so profiling adds no work
+        to the block effects.
         """
-        plans_get = self._plans.get
         blocks_get = self._skip_blocks.get
         call_stack = self._call_stack
         pc = self._pc
         skipped = 0
         try:
-            # Block-granular fast path: consume whole basic blocks plus
-            # their terminating dynamic instruction while they fit.
             while True:
                 block = blocks_get(pc)
                 if block is None:
                     block = self._compile_skip_block(pc)
-                n, effects, exit_pc = block
+                n, effects, exit_pc, plan = block
                 if skipped + n + 1 > count:
                     break
-                for is_push, payload in effects:
-                    if is_push:
-                        call_stack.append(payload)
-                    else:
-                        payload()
                 pc = exit_pc
-                skipped += n
-                # One stepped instruction resolves the block terminator
-                # (or continues a capped block).
-                plan = plans_get(pc)
                 if plan is None:
-                    try:
-                        instr = self.program.instructions[pc]
-                    except KeyError as exc:
-                        raise WorkloadError(
-                            f"{self.program.name}: control flowed to unmapped "
-                            f"address {pc:#x}"
-                        ) from exc
-                    plan = self._compile_plan(instr)
-                (_instr, code, taken_target, fallthrough,
-                 next_taken, next_mem, next_index, switch_targets) = plan
-                if code:
-                    if code == 1:  # FLOW_COND_BRANCH
-                        pc = taken_target if next_taken() else fallthrough
-                    elif code == 2:  # FLOW_DIRECT_JUMP
-                        pc = taken_target
-                    elif code == 3:  # FLOW_CALL
-                        call_stack.append(fallthrough)
-                        pc = taken_target
-                    elif code == 4:  # FLOW_RETURN
-                        if not call_stack:
-                            raise WorkloadError(
-                                f"{self.program.name}: return with empty call "
-                                f"stack at {pc:#x}"
-                            )
-                        pc = call_stack.pop()
-                    else:  # FLOW_INDIRECT_JUMP
-                        pc = switch_targets[next_index()]
+                    raise self._unmapped_error(pc)
+                for effect in effects:
+                    effect()
+                skipped += n + 1
+                code = plan[1]
+                if code == 1:  # FLOW_COND_BRANCH
+                    pc = plan[2] if plan[4]() else plan[3]
+                elif code == 4:  # FLOW_RETURN
+                    if not call_stack:
+                        raise self._empty_stack_error(pc)
+                    pc = call_stack.pop()
+                elif code == 5:  # FLOW_INDIRECT_JUMP
+                    pc = plan[7][plan[6]()]
+                elif code == 3:  # FLOW_CALL (a capped block's terminator)
+                    call_stack.append(plan[3])
+                    pc = plan[2]
+                elif code == 2:  # FLOW_DIRECT_JUMP
+                    pc = plan[2]
                 else:
-                    pc = fallthrough
+                    pc = plan[3]
                 if profile is not None and (code == 1 or code >= 4):
                     profile[pc] = profile.get(pc, 0) + 1
-                if next_mem is not None:
-                    next_mem()
-                skipped += 1
+                if plan[5] is not None:
+                    plan[5]()
         finally:
             self._pc = pc
         # The remainder is shorter than one block: walk it as records.
@@ -267,55 +272,50 @@ class StreamWalker:
                     profile[target] = profile.get(target, 0) + 1
         return skipped + len(tail)
 
-    def _compile_warm_block(self, start: int, line_shift: int) -> tuple:
+    def _compile_warm_block(self, start: int, fetch, train,
+                            line_shift: int) -> tuple:
         """Compile the basic block at ``start`` for warmed skipping.
 
-        Same block boundaries as :meth:`_compile_skip_block`, but the
-        effect list additionally carries the warming work a walk of the
-        block performs.  Effects are ``(kind, a, b)``:
+        Same block and terminator as :meth:`_compile_skip_block`, with
+        the warming work of a walk of the block folded in.  Returns
+        ``(count, head_line, effects, exit_pc, terminator_plan,
+        exit_line)``.  ``effects`` is the ordered tuple of
+        ``(static, draw)`` pairs: a memory access is ``(None,
+        next_address)`` and touches the drawn address; every other
+        effect is a zero-argument ``static`` partial — an icache probe
+        ``fetch(pc)``, a static CTI's ``train(instr, True, target)`` or
+        a call's return-address push.
 
-        * ``0`` — memory access: ``touch(a())``
-        * ``1`` — icache probe: ``fetch(a)`` when line ``b`` differs from
-          the previous probed line (lines repeated *within* the block are
-          already filtered statically; the runtime check only deduplicates
-          across block boundaries)
-        * ``2`` — static CTI (direct jump/call): ``train(a, True, b)``
-        * ``3`` — call: push return address ``a``
+        Lines repeated within the block are filtered statically, so only
+        the block's first line (``head_line``, the line of ``start``)
+        needs the runtime check against the line probed last; a
+        terminator on a new line gets a static probe of its own, and
+        ``exit_line`` is the line probed last once the block and its
+        terminator ran.
         """
-        plans_get = self._plans.get
-        instructions = self.program.instructions
+        push = self._call_stack.append
+        head_line = start >> line_shift
+        prev_line = head_line
         effects: list[tuple] = []
-        pc = start
-        n = 0
-        prev_line = None
-        while n < self._SKIP_BLOCK_CAP:
-            plan = plans_get(pc)
-            if plan is None:
-                instr = instructions.get(pc)
-                if instr is None:
-                    break
-                plan = self._compile_plan(instr)
-            code = plan[1]
-            if code not in (0, 2, 3):
-                break  # cond branch / return / indirect: dynamic outcome
+
+        def on_static(pc, plan):
+            nonlocal prev_line
             line = pc >> line_shift
             if line != prev_line:
-                effects.append((1, pc, line))
+                effects.append((partial(fetch, pc), None))
                 prev_line = line
-            next_mem = plan[5]
-            if code == 0:
-                if next_mem is not None:
-                    effects.append((0, next_mem, None))
-                pc = plan[3]
-            else:
-                if code == 3:  # FLOW_CALL
-                    effects.append((3, plan[3], None))
-                effects.append((2, plan[0], plan[2]))
-                if next_mem is not None:
-                    effects.append((0, next_mem, None))
-                pc = plan[2]
-            n += 1
-        block = (n, tuple(effects), pc)
+            if plan[1] == 3:  # FLOW_CALL
+                effects.append((partial(push, plan[3]), None))
+            if plan[1]:  # direct jump or call
+                effects.append((partial(train, plan[0], True, plan[2]), None))
+            if plan[5] is not None:
+                effects.append((None, plan[5]))
+
+        n, exit_pc, terminator = self._block_extent(start, on_static)
+        exit_line = exit_pc >> line_shift
+        if n and terminator is not None and exit_line != prev_line:
+            effects.append((partial(fetch, exit_pc), None))
+        block = (n, head_line, tuple(effects), exit_pc, terminator, exit_line)
         self._warm_blocks[start] = block
         return block
 
@@ -329,13 +329,18 @@ class StreamWalker:
         once per new instruction-cache line (``line_shift`` = log2 of the
         line size), ``touch(mem_addr)`` once per memory access and
         ``train(instr, taken, next_address)`` once per CTI, so icache,
-        dcache and branch-predictor state track the skipped stream.  Behaviour-state evolution is bit-identical to
-        :meth:`skip`; straight-line stretches replay compiled warm blocks.
+        dcache and branch-predictor state track the skipped stream.
+        Behaviour-state evolution is bit-identical to :meth:`skip`, and
+        so is the stepping: one dict probe yields a fused warm block
+        (see :meth:`_compile_warm_block`) whose effects replay in order
+        before its terminator resolves inline.  Warm blocks bind
+        ``fetch`` and ``train``, so they are recompiled when either (or
+        ``line_shift``) changes between calls.
         """
-        if line_shift != self._warm_line_shift:
+        key = (fetch, train, line_shift)
+        if key != self._warm_key:
             self._warm_blocks.clear()
-            self._warm_line_shift = line_shift
-        plans_get = self._plans.get
+            self._warm_key = key
         blocks_get = self._warm_blocks.get
         call_stack = self._call_stack
         pc = self._pc
@@ -345,67 +350,48 @@ class StreamWalker:
             while True:
                 block = blocks_get(pc)
                 if block is None:
-                    block = self._compile_warm_block(pc, line_shift)
-                n, effects, exit_pc = block
+                    block = self._compile_warm_block(pc, fetch, train,
+                                                     line_shift)
+                n, head_line, effects, exit_pc, plan, exit_line = block
                 if skipped + n + 1 > count:
                     break
-                for kind, a, b in effects:
-                    if kind == 0:
-                        touch(a())
-                    elif kind == 1:
-                        if b != last_line:
-                            fetch(a)
-                            last_line = b
-                    elif kind == 2:
-                        train(a, True, b)
-                    else:
-                        call_stack.append(a)
-                pc = exit_pc
-                skipped += n
-                # One stepped instruction resolves the block terminator
-                # (or continues a capped block).
-                plan = plans_get(pc)
                 if plan is None:
-                    try:
-                        instr = self.program.instructions[pc]
-                    except KeyError as exc:
-                        raise WorkloadError(
-                            f"{self.program.name}: control flowed to unmapped "
-                            f"address {pc:#x}"
-                        ) from exc
-                    plan = self._compile_plan(instr)
-                (instr, code, taken_target, fallthrough,
-                 next_taken, next_mem, next_index, switch_targets) = plan
-                line = pc >> line_shift
-                if line != last_line:
+                    pc = exit_pc
+                    raise self._unmapped_error(pc)
+                if head_line != last_line:
                     fetch(pc)
-                    last_line = line
+                for static, draw in effects:
+                    if draw is None:
+                        static()
+                    else:
+                        touch(draw())
+                last_line = exit_line
+                pc = exit_pc
+                skipped += n + 1
+                code = plan[1]
                 if code:
-                    taken = True
                     if code == 1:  # FLOW_COND_BRANCH
-                        taken = next_taken()
-                        next_address = taken_target if taken else fallthrough
-                    elif code == 2:  # FLOW_DIRECT_JUMP
-                        next_address = taken_target
-                    elif code == 3:  # FLOW_CALL
-                        call_stack.append(fallthrough)
-                        next_address = taken_target
-                    elif code == 4:  # FLOW_RETURN
-                        if not call_stack:
-                            raise WorkloadError(
-                                f"{self.program.name}: return with empty call "
-                                f"stack at {pc:#x}"
-                            )
-                        next_address = call_stack.pop()
-                    else:  # FLOW_INDIRECT_JUMP
-                        next_address = switch_targets[next_index()]
-                    train(instr, taken, next_address)
+                        taken = plan[4]()
+                        next_address = plan[2] if taken else plan[3]
+                        train(plan[0], taken, next_address)
+                    else:
+                        if code == 4:  # FLOW_RETURN
+                            if not call_stack:
+                                raise self._empty_stack_error(pc)
+                            next_address = call_stack.pop()
+                        elif code == 5:  # FLOW_INDIRECT_JUMP
+                            next_address = plan[7][plan[6]()]
+                        elif code == 3:  # FLOW_CALL
+                            call_stack.append(plan[3])
+                            next_address = plan[2]
+                        else:  # FLOW_DIRECT_JUMP
+                            next_address = plan[2]
+                        train(plan[0], True, next_address)
                     pc = next_address
                 else:
-                    pc = fallthrough
-                if next_mem is not None:
-                    touch(next_mem())
-                skipped += 1
+                    pc = plan[3]
+                if plan[5] is not None:
+                    touch(plan[5]())
         finally:
             self._pc = pc
         # The remainder is shorter than one block: walk it as records and
@@ -445,10 +431,7 @@ class StreamWalker:
                     try:
                         instr = self.program.instructions[pc]
                     except KeyError as exc:
-                        raise WorkloadError(
-                            f"{self.program.name}: control flowed to unmapped "
-                            f"address {pc:#x}"
-                        ) from exc
+                        raise self._unmapped_error(pc) from exc
                     plan = self._compile_plan(instr)
                 (instr, code, taken_target, fallthrough,
                  next_taken, next_mem, next_index, switch_targets) = plan
@@ -465,10 +448,7 @@ class StreamWalker:
                         next_address = taken_target
                     elif code == 4:  # FLOW_RETURN
                         if not call_stack:
-                            raise WorkloadError(
-                                f"{self.program.name}: return with empty call "
-                                f"stack at {pc:#x}"
-                            )
+                            raise self._empty_stack_error(pc)
                         next_address = call_stack.pop()
                     else:  # FLOW_INDIRECT_JUMP
                         next_address = switch_targets[next_index()]

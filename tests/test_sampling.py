@@ -7,11 +7,18 @@ the historical, bit-identical full-detail path.
 """
 
 import math
+from collections import Counter
 
 import pytest
 
 from repro.core.simulator import ParrotSimulator, RunOptions, SampledRun
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, SimulationError, WorkloadError
+from repro.isa.opcodes import (
+    FLOW_COND_BRANCH,
+    FLOW_INDIRECT_JUMP,
+    FLOW_RETURN,
+    InstrClass,
+)
 from repro.models.configs import model_config
 from repro.sampling import (
     Interval,
@@ -22,6 +29,9 @@ from repro.sampling import (
     plan_intervals,
     student_t,
 )
+from repro.workloads.behaviors import BiasedBranchSpec, RandomMemSpec
+from repro.workloads.program import ProgramBuilder
+from repro.workloads.stream import InstructionStream, StreamWalker
 from repro.workloads.suite import application
 
 #: The golden pairs of the acceptance criteria.
@@ -182,13 +192,44 @@ class TestEstimator:
 # -- fast-forward state identity ---------------------------------------------
 
 
+#: A non-default dynamic-path seed (the benchmark derives one per pair
+#: for its seeds >= 1).
+OTHER_STREAM_SEED = 0x5EED_F00D
+
+
+def _walks(*app_names):
+    """Parameters ``(app_name, stream_seed)``: each app on its default
+    stream (id ``app``) and on :data:`OTHER_STREAM_SEED` (``app-seed``)."""
+    return [
+        pytest.param(app, seed, id=app if seed is None else f"{app}-seed")
+        for app in app_names
+        for seed in (None, OTHER_STREAM_SEED)
+    ]
+
+
+def _fall_off_program():
+    """A loop whose exit falls through three plain instructions into an
+    unmapped address; returns ``(program, unmapped_address)``."""
+    builder = ProgramBuilder("fall-off", seed=1)
+    entry = builder.place(builder.label("entry"))
+    builder.emit(InstrClass.LOAD, dest=0, src1=1, mem=RandomMemSpec(
+        base=builder.alloc_data(4096), extent=4096))
+    builder.cond_branch(entry, BiasedBranchSpec(0.9))
+    for _ in range(3):
+        builder.emit(InstrClass.SIMPLE_ALU, dest=0, src1=1, src2=2)
+    program = builder.finish(entry)
+    last = program.instructions[max(program.instructions)]
+    return program, last.fallthrough
+
+
 class TestSkipIdentity:
     """The block-compiled skip paths must be bit-identical to a full walk."""
 
-    @pytest.mark.parametrize("app_name", ["swim", "gcc", "eon"])
-    def test_plain_skip_matches_materialised_walk(self, app_name):
-        app = application(app_name)
-        skipping, walking = app.build().stream(60_000), app.build().stream(60_000)
+    @pytest.mark.parametrize("app_name,stream_seed", _walks("swim", "gcc", "eon"))
+    def test_plain_skip_matches_materialised_walk(self, app_name, stream_seed):
+        workload = application(app_name).build()
+        skipping = workload.stream(60_000, stream_seed=stream_seed)
+        walking = workload.stream(60_000, stream_seed=stream_seed)
         for size in (1, 7, 500, 3, 4096, 999, 64):
             skipping.skip(size)
             walking.take_batch(size)
@@ -198,13 +239,34 @@ class TestSkipIdentity:
                 assert got.next_address == want.next_address
                 assert got.mem_addr == want.mem_addr
 
-    @pytest.mark.parametrize("app_name", ["gcc", "eon"])
-    def test_warm_skip_effects_match_reference(self, app_name):
-        app = application(app_name)
+    @pytest.mark.parametrize("app_name,stream_seed", _walks("swim", "gcc", "eon"))
+    def test_skip_profile_counts_dynamic_cti_successors(
+        self, app_name, stream_seed
+    ):
+        """``skip(profile=...)`` — the adaptive sampler's phase-signature
+        input — counts exactly the resolved successors of the window's
+        conditional branches, returns and indirect jumps."""
+        workload = application(app_name).build()
+        skipping = workload.stream(60_000, stream_seed=stream_seed)
+        walking = workload.stream(60_000, stream_seed=stream_seed)
+        dynamic = (FLOW_COND_BRANCH, FLOW_RETURN, FLOW_INDIRECT_JUMP)
+        for size in (1, 7, 500, 3, 4096, 999, 20_000):
+            profile = {}
+            assert skipping.skip(size, profile=profile) == size
+            want = Counter(
+                dyn.next_address for dyn in walking.take_batch(size)
+                if dyn.instr.flow_code in dynamic
+            )
+            assert profile == dict(want)
+
+    @pytest.mark.parametrize("app_name,stream_seed", _walks("gcc", "eon"))
+    def test_warm_skip_effects_match_reference(self, app_name, stream_seed):
+        workload = application(app_name).build()
         line_shift = 6
         # Short counts end mid-block and so pin the record-walking tail.
         for count in (1, 7, 7000):
-            reference, log_ref, last_line = app.build().stream(20_000), [], -1
+            reference = workload.stream(20_000, stream_seed=stream_seed)
+            log_ref, last_line = [], -1
             for dyn in reference.take_batch(count):
                 instr = dyn.instr
                 line = instr.address >> line_shift
@@ -217,7 +279,8 @@ class TestSkipIdentity:
                 if dyn.mem_addr is not None:
                     log_ref.append(("touch", dyn.mem_addr))
 
-            warmed, log = app.build().stream(20_000), []
+            warmed = workload.stream(20_000, stream_seed=stream_seed)
+            log = []
             assert warmed.skip(count, warm=(
                 lambda a: log.append(("fetch", a)),
                 lambda a: log.append(("touch", a)),
@@ -230,6 +293,19 @@ class TestSkipIdentity:
                                  reference.take_batch(500), strict=True):
                 assert got.instr.address == want.instr.address
                 assert got.mem_addr == want.mem_addr
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["plain", "warm"])
+    def test_flow_to_unmapped_address_raises_naming_it(self, warm):
+        """A skipped block whose exit is unmapped has no terminator plan;
+        the fast-forward must still fail loudly, naming the address."""
+        program, unmapped = _fall_off_program()
+        stream = InstructionStream(StreamWalker(program, 3), 100_000)
+        effects = None
+        if warm:
+            effects = (lambda a: None, lambda a: None,
+                       lambda i, t, n: None, 6)
+        with pytest.raises(WorkloadError, match=f"unmapped address {unmapped:#x}"):
+            stream.skip(50_000, warm=effects)
 
 
 # -- end-to-end sampled simulation -------------------------------------------

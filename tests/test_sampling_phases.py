@@ -215,12 +215,8 @@ def _reference_scan(stream, total):
         batch = stream.take_batch(min(512, total - seen))
         if not batch:
             break
-        for dyn in batch:
-            seen += 1
-            completed = selector.advance(dyn)
-            if completed is not None:
-                for segment in completed:
-                    segments.append((segment, seen))
+        segments.extend(selector.feed(batch, seen))
+        seen += len(batch)
     return selector, segments, seen
 
 
@@ -263,7 +259,7 @@ def _segment_key(segment, position):
 
 
 class TestColumnarSelectorEquivalence:
-    """ColumnarSelector mirrors TraceSelector.advance bit-for-bit."""
+    """ColumnarSelector mirrors TraceSelector.feed bit-for-bit."""
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -288,16 +284,8 @@ class TestColumnarSelectorEquivalence:
         # The transferred in-progress state must continue identically:
         # feed both selectors the same object tail and compare everything
         # that completes (including the final flush).
-        tail_ref = []
-        tail_col = []
-        for dyn in ref_stream.take_batch(600):
-            completed = ref_sel.advance(dyn)
-            if completed is not None:
-                tail_ref.extend(completed)
-        for dyn in col_stream.take_batch(600):
-            completed = col_sel.advance(dyn)
-            if completed is not None:
-                tail_col.extend(completed)
+        tail_ref = [s for s, _ in ref_sel.feed(ref_stream.take_batch(600))]
+        tail_col = [s for s, _ in col_sel.feed(col_stream.take_batch(600))]
         tail_ref.extend(ref_sel.flush())
         tail_col.extend(col_sel.flush())
         assert (

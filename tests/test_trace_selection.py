@@ -1,6 +1,10 @@
 """Unit + integration tests: deterministic trace selection (§2.2)."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.simulator import segment_stream
 from repro.isa.decoder import decode_template
@@ -23,9 +27,7 @@ def _dyn(address, iclass=InstrClass.SIMPLE_ALU, taken=False, target=None,
 
 
 def _feed_all(selector, instrs):
-    segments = []
-    for dyn in instrs:
-        segments.extend(selector.advance(dyn) or ())
+    segments = [segment for segment, _ in selector.feed(list(instrs))]
     segments.extend(selector.flush())
     return segments
 
@@ -183,3 +185,107 @@ class TestDeterminism:
                 assert by_tid[segment.tid] == path
             else:
                 by_tid[segment.tid] = path
+
+
+def _mixed_stream(fragments=600, seed=7):
+    """A committed stream that exercises every selection rule: joined
+    loop iterations, inlined call/return pairs, outermost returns,
+    software interrupts, indirect jumps, backward direct jumps and
+    single- and multi-uop capacity closes, in a seeded random order."""
+    rng = random.Random(seed)
+    loop = [
+        _dyn(0x1000),
+        _dyn(0x1004, InstrClass.COND_BRANCH, taken=True, target=0x1010),
+        _dyn(0x1010, InstrClass.COND_BRANCH, taken=False, target=0x1000),
+        _dyn(0x1014, InstrClass.COND_BRANCH, taken=True, target=0x1000),
+    ]
+    inlined = [
+        _dyn(0x2000, InstrClass.CALL_DIRECT, taken=True, target=0x5000),
+        _dyn(0x5000, InstrClass.LOAD),
+        _dyn(0x5004, InstrClass.RETURN_NEAR, taken=True, target=None,
+             next_address=0x2005),
+        _dyn(0x2005),
+    ]
+    outer_return = [
+        _dyn(0x5000),
+        _dyn(0x5004, InstrClass.RETURN_NEAR, taken=True, target=None,
+             next_address=0x1000),
+    ]
+    fragments_by_kind = [
+        loop,
+        inlined,
+        outer_return,
+        [_dyn(0x3000, InstrClass.SOFTWARE_INT)],
+        [_dyn(0x3100, InstrClass.INDIRECT_JUMP, taken=True, target=None,
+              next_address=0x1000)],
+        [_dyn(0x3200), _dyn(0x3204, InstrClass.DIRECT_JUMP, taken=True,
+                            target=0x3200)],
+        [_dyn(0x4000 + i * 4) for i in range(70)],
+        [_dyn(0x6000 + i * 4, InstrClass.RMW) for i in range(23)],
+    ]
+    stream = []
+    for _ in range(fragments):
+        kind = rng.randrange(len(fragments_by_kind))
+        stream.extend(fragments_by_kind[kind] * rng.choice((1, 1, 2, 5)))
+    return stream
+
+
+class TestFeedSplitInvariance:
+    """Selection is a pure function of the stream, not of its batching."""
+
+    @pytest.fixture(scope="class", params=["gcc", "mixed"])
+    def committed(self, request):
+        if request.param == "mixed":
+            return _mixed_stream()
+        from repro.workloads.suite import application
+
+        # A real stream: calls, returns, indirect jumps and joined loops.
+        return application("gcc").build().stream(30_000).take_batch(30_000)
+
+    @staticmethod
+    def _run(stream, sizes):
+        """Feed ``stream`` in consecutive batches of ``sizes`` (the last
+        size repeats until the stream is spent)."""
+        selector = TraceSelector()
+        emitted = []
+        fed = 0
+        i = 0
+        while fed < len(stream):
+            size = sizes[min(i, len(sizes) - 1)]
+            batch = stream[fed:fed + size]
+            emitted.extend(selector.feed(batch, fed))
+            fed += len(batch)
+            i += 1
+        carried = (
+            [id(dyn) for dyn in selector._instructions],
+            selector._uops,
+            selector._start,
+            selector._directions,
+            selector._num_branches,
+            selector._context_depth,
+            selector._pending.tid if selector._pending else None,
+            selector._pending.join_count if selector._pending else None,
+            selector._pending_base_tid,
+        )
+        segments = [
+            (seg.tid, seg.join_count, seg.complete, seg.num_instructions,
+             seg.uop_count, position)
+            for seg, position in emitted
+        ]
+        flushed = [(seg.tid, seg.join_count, seg.complete)
+                   for seg in selector.flush()]
+        return segments, dict(selector.terminations), carried, flushed
+
+    @pytest.mark.parametrize("sizes", [[1], [7], [4096], [3, 1, 4096, 7, 64]],
+                             ids=["ones", "sevens", "4096", "ragged"])
+    def test_splits_match_one_batch(self, committed, sizes):
+        whole = self._run(committed, [len(committed)])
+        assert whole[0], "the stream must complete segments"
+        assert whole[1]["joined"] > 0
+        assert self._run(committed, sizes) == whole
+
+    @settings(max_examples=10, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 5000), min_size=1, max_size=30))
+    def test_random_splits_match_one_batch(self, committed, sizes):
+        assert (self._run(committed, sizes)
+                == self._run(committed, [len(committed)]))

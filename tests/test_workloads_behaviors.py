@@ -2,7 +2,7 @@
 
 import random
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.workloads.behaviors import (
@@ -129,3 +129,100 @@ class TestMemSpecs:
             address = state.next_address()
             assert 0x2000 <= address < 0x2000 + 4096
             assert address % 8 == 0
+
+
+# -- the single-frame draws make the stdlib's RNG calls ---------------------
+
+_SEEDS = st.integers(0, 2**32 - 1)
+_DRAWS = 300
+
+
+def _same_rngs(seed):
+    return random.Random(seed), random.Random(seed)
+
+
+class TestStdlibDrawEquivalence:
+    """Every state's draw sequence is the one ``random.Random`` produces.
+
+    The states inline ``randrange``/``randint``/``choices`` for speed; a
+    CPython change to those methods must fail here rather than silently
+    move every simulated result.  Both RNGs must also end in the same
+    state, so later draws from the shared walker RNG stay aligned too.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=_SEEDS,
+        base=st.integers(0, 2**32),
+        extent=st.one_of(
+            st.integers(0, 8),
+            st.integers(9, 5000),
+            st.integers(3, 24).map(lambda k: 1 << k),
+            st.integers(2**20, 2**40),
+        ),
+    )
+    def test_random_memory_matches_randrange(self, seed, base, extent):
+        rng, ref = _same_rngs(seed)
+        state = make_mem_state(RandomMemSpec(base=base, extent=extent), rng)
+        got = [state.next_address() for _ in range(_DRAWS)]
+        n = max(extent, 8)
+        want = [base + (ref.randrange(n) & ~7) for _ in range(_DRAWS)]
+        assert got == want
+        assert rng.getstate() == ref.getstate()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=_SEEDS,
+        trip_lo=st.integers(1, 40),
+        span=st.integers(1, 300),
+        fixed=st.booleans(),
+    )
+    def test_loop_trips_match_randint(self, seed, trip_lo, span, fixed):
+        spec = LoopBranchSpec(trip_lo, trip_lo + span, fixed=fixed)
+        rng, ref = _same_rngs(seed)
+        state = make_branch_state(spec, rng)
+        got = [state.next_taken() for _ in range(_DRAWS)]
+
+        def draw():
+            return ref.randint(spec.trip_lo, spec.trip_hi)
+
+        trip = draw() if fixed else None
+        remaining = trip if fixed else draw()
+        want = []
+        for _ in range(_DRAWS):
+            remaining -= 1
+            if remaining > 0:
+                want.append(True)
+            else:
+                remaining = trip if fixed else draw()
+                want.append(False)
+        assert got == want
+        assert rng.getstate() == ref.getstate()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=_SEEDS,
+        n_targets=st.integers(1, 40),
+        skew=st.floats(0.0, 3.0, allow_nan=False),
+    )
+    def test_switch_matches_weighted_choices(self, seed, n_targets, skew):
+        rng, ref = _same_rngs(seed)
+        state = make_switch_state(SwitchSpec(n_targets, skew=skew), rng)
+        got = [state.next_index() for _ in range(_DRAWS)]
+        weights = [1.0 / (i + 1) ** skew for i in range(n_targets)]
+        want = [
+            ref.choices(range(n_targets), weights=weights, k=1)[0]
+            for _ in range(_DRAWS)
+        ]
+        assert got == want
+        assert rng.getstate() == ref.getstate()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=_SEEDS, p=st.floats(0.0, 1.0, allow_nan=False))
+    def test_probability_branches_match_random(self, seed, p):
+        for spec in (BiasedBranchSpec(p), DataDependentBranchSpec(p)):
+            rng, ref = _same_rngs(seed)
+            state = make_branch_state(spec, rng)
+            got = [state.next_taken() for _ in range(_DRAWS)]
+            assert got == [ref.random() < p for _ in range(_DRAWS)]
+            assert rng.getstate() == ref.getstate()
