@@ -8,7 +8,9 @@ The ISA distinguishes three layers:
   living in the static program image.
 * :class:`DynamicInstruction` — one dynamic execution of a macro-instruction:
   the static template plus this instance's branch outcome, successor address
-  and effective memory address.  The simulator consumes a stream of these.
+  and effective memory address.  The simulator consumes a stream of these;
+  walkers share one record among all executions with the same outcome, so
+  records are read-only.
 """
 
 from __future__ import annotations
@@ -162,6 +164,16 @@ class DynamicInstruction:
     True for unconditional CTIs, False for non-CTIs).  ``next_address`` is the
     address control actually flowed to.  ``mem_addr`` is the effective address
     touched by the instruction's memory uops, if any.
+
+    Records may be shared; treat them as read-only.  Both walkers reuse
+    one prebuilt record for every execution of an instruction with no
+    memory access and a static successor (the generating walker also one
+    per direction of a memory-free branch and per target of a memory-free
+    indirect jump), so mutating one would rewrite every execution it
+    stands for.  The
+    class stays a plain slots dataclass rather than ``frozen``, because
+    frozen construction costs ~3× as much on the records that still
+    allocate.
     """
 
     instr: MacroInstruction

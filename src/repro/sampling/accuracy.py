@@ -22,15 +22,14 @@ Speedup protocol: every sampling speedup this repository has quoted since
 the PR 4 fixed-interval table was measured fresh-process — the full-detail
 reference is the first simulation the interpreter runs (paying the
 process-cold setup a standalone run actually pays: prewarm snapshot
-build, plan/flyweight memo population), while sampled runs amortize that
-warm state, exactly as the engine's long-lived workers do.  Running the
-harness inside an already-warm process (the test suite) silently breaks
-that baseline — earlier test modules pre-build the memos, making the
-reference look ~40% faster than any standalone run ever is.
-``cold_reference=True`` restores the canonical protocol there by timing
-each full-detail reference in a fresh interpreter (the result object
-still comes from an in-process run; the two are bit-identical by
-determinism).
+build, plan/flyweight memo population, an artifact's partition and cold
+plans), while sampled runs amortize that warm state, exactly as the
+engine's long-lived workers do.  The harness therefore always times each
+full-detail reference in a fresh interpreter; an in-process timing would
+start from whatever memos earlier runs left behind (earlier test
+modules, or an artifact's memoised segment partition on a second
+repeat).  The reference *values* come from one in-process run; the two
+are bit-identical by determinism.
 """
 
 from __future__ import annotations
@@ -198,15 +197,13 @@ class AccuracyHarness:
     user-facing path); ``source="artifact"`` compiles each pair's stream
     into a trace artifact under ``root`` once and replays it for both the
     reference and the sampled run — the regression suite uses artifacts so
-    its many configurations share one compile.  ``cold_reference=True``
-    times each full-detail reference in a fresh interpreter instead of
-    in-process (see the module docstring on the speedup protocol); the
-    reference *values* always come from an in-process run.
+    its many configurations share one compile.  Each full-detail reference
+    is timed in a fresh interpreter (see the module docstring on the
+    speedup protocol); its *values* come from an in-process run.
     """
 
     def __init__(self, *, length: int = GOLDEN_LENGTH,
-                 source: str = "generator", root=None, repeat: int = 1,
-                 cold_reference: bool = False):
+                 source: str = "generator", root=None, repeat: int = 1):
         if source not in ("generator", "artifact"):
             raise ConfigurationError(
                 f"source must be 'generator' or 'artifact', got {source!r}"
@@ -221,7 +218,6 @@ class AccuracyHarness:
         self.source = source
         self.root = root
         self.repeat = repeat
-        self.cold_reference = cold_reference
         self._artifacts: dict[str, object] = {}
         self._references: dict[tuple[str, str], tuple[object, float]] = {}
 
@@ -238,8 +234,9 @@ class AccuracyHarness:
         return artifact
 
     def _run(self, app_name: str, model_name: str,
-             sampling: SamplingConfig | None):
-        """One timed simulation; returns ``(result, best_seconds)``."""
+             sampling: SamplingConfig | None, repeat: int):
+        """A timed simulation; returns ``(result, best_seconds)`` over
+        ``repeat`` runs."""
         source = self._source_for(app_name)
         options = RunOptions(sampling=sampling,
                              estimate=sampling is not None)
@@ -251,7 +248,7 @@ class AccuracyHarness:
         # the timed region runs with automatic GC off.
         gc_was_enabled = gc.isenabled()
         try:
-            for _ in range(self.repeat):
+            for _ in range(repeat):
                 sim = ParrotSimulator(model_config(model_name))
                 gc.collect()
                 gc.disable()
@@ -270,9 +267,9 @@ class AccuracyHarness:
     def _standalone_seconds(self, app_name: str, model_name: str) -> float:
         """Time the pair's full-detail run in a fresh interpreter.
 
-        Reproduces the fresh-process baseline (see the module docstring)
-        from inside a warm process: the child pays exactly the setup a
-        standalone run pays.  Best of ``repeat`` child processes; only
+        The fresh-process baseline (see the module docstring), whatever
+        the calling process already warmed: the child pays exactly the
+        setup a standalone run pays.  Best of ``repeat`` child processes; only
         the ``simulate()`` call is inside the timed region.
         """
         if self.source == "artifact":
@@ -312,10 +309,8 @@ class AccuracyHarness:
         key = (app_name, model_name)
         cached = self._references.get(key)
         if cached is None:
-            result, seconds = self._run(app_name, model_name, None)
-            if self.cold_reference:
-                seconds = self._standalone_seconds(app_name, model_name)
-            cached = (result, seconds)
+            result, _ = self._run(app_name, model_name, None, 1)
+            cached = (result, self._standalone_seconds(app_name, model_name))
             self._references[key] = cached
         return cached
 
@@ -323,7 +318,8 @@ class AccuracyHarness:
                  sampling: SamplingConfig) -> PairAccuracy:
         """Run one pair sampled and compare against its full reference."""
         full, full_seconds = self.reference(app_name, model_name)
-        sampled, sampled_seconds = self._run(app_name, model_name, sampling)
+        sampled, sampled_seconds = self._run(app_name, model_name, sampling,
+                                             self.repeat)
         return PairAccuracy(
             app=app_name,
             model=model_name,

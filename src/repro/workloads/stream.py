@@ -4,7 +4,12 @@ The :class:`StreamWalker` interprets a static :class:`~repro.workloads.program.P
 — resolving branch directions, indirect targets and memory addresses from
 the program's behaviour specs — and produces an endless sequence of
 :class:`~repro.isa.instruction.DynamicInstruction` records in batches,
-exactly like the execution traces driving the paper's simulator.
+exactly like the execution traces driving the paper's simulator.  It
+steps one *fused block* at a time: a basic block compiled once per start
+address, which both the detailed walk (:meth:`StreamWalker.next_batch`)
+and the fast-forward (:meth:`StreamWalker.skip`) replay.  Records whose
+outcome is a static function of the instruction are prebuilt once and
+shared across visits, so they are read-only.
 
 The :class:`InstructionStream` bounds a walker (this one, or a recorded
 artifact's replay walker) to a fixed instruction budget.  The simulator
@@ -48,10 +53,17 @@ class StreamWalker:
     given ``(program, seed)`` pair always produces the identical stream.
 
     Interpretation is the innermost loop of every simulation, so the
-    walker compiles each static instruction into a *plan* on first
-    execution — flow-dispatch code, static targets and the bound
-    behaviour-state methods — and replays the plan on every later visit,
-    avoiding the enum chain and three dict probes per step.
+    walker steps *fused blocks*: the deterministic stretch of control
+    flow at a start address plus the dynamic instruction that ends it,
+    compiled once (:meth:`_compile_block`) and replayed by
+    :meth:`next_batch` and :meth:`skip` alike.  A block replays its
+    behaviour draws and call pushes in instruction order, so the RNG,
+    the call stack and the pc stay bit-identical to an
+    instruction-by-instruction walk.  Only memory instructions and
+    returns allocate a record; every other record is prebuilt once per
+    static instruction (one per direction of a branch, one per target
+    of an indirect jump) and shared by every visit.  The cache lives on
+    the walker, so every fresh stream pays its own compilation.
     """
 
     __slots__ = (
@@ -61,7 +73,7 @@ class StreamWalker:
         "_switch_states",
         "_mem_states",
         "_plans",
-        "_skip_blocks",
+        "_blocks",
         "_warm_blocks",
         "_warm_key",
         "_pc",
@@ -88,22 +100,29 @@ class StreamWalker:
             for addr, spec in program.mem_specs.items()
         }
         # address -> (instr, code, taken_target, fallthrough, next_taken,
-        #             next_address, next_index, switch_targets), built lazily
-        # so never-executed instructions cost nothing.
+        #             next_address, next_index, switch_targets, records):
+        # the block compiler's per-instruction input, built lazily so
+        # never-executed instructions cost nothing.
         self._plans: dict[int, tuple] = {}
-        # address -> fused skip block (count, effects, exit_pc,
-        # terminator_plan) (see _compile_skip_block), built lazily by
-        # :meth:`skip`.
-        self._skip_blocks: dict[int, tuple] = {}
-        # Same idea with warming effects (see _compile_warm_block); valid
-        # for one (fetch, train, line_shift) binding at a time.
+        # start address -> fused block (see _compile_block).
+        self._blocks: dict[int, tuple] = {}
+        # Same extent with warming effects (see _compile_warm_block);
+        # valid for one (fetch, train, line_shift) binding at a time.
         self._warm_blocks: dict[int, tuple] = {}
         self._warm_key: tuple | None = None
         self._pc = program.entry
         self._call_stack: list[int] = []
 
     def _compile_plan(self, instr) -> tuple:
-        """Build the execution plan for one static instruction."""
+        """Build the execution plan for one static instruction.
+
+        ``records`` holds the instruction's shared records when its
+        outcome is static given the resolved successor: one for a
+        non-memory instruction with a static successor, ``(not taken,
+        taken)`` for a memory-free conditional branch and one per target
+        for a memory-free indirect jump.  It is ``None`` for memory
+        instructions and returns, whose records are allocated per visit.
+        """
         address = instr.address
         code = instr.flow_code
         if code == FLOW_SOFTWARE_INT:
@@ -111,23 +130,38 @@ class StreamWalker:
         branch_state = self._branch_states.get(address)
         switch_state = self._switch_states.get(address)
         mem_state = self._mem_states.get(address)
+        taken_target = instr.taken_target
+        fallthrough = instr.fallthrough
+        switch_targets = self.program.switch_targets.get(address)
+        if mem_state is not None or code == 4:  # FLOW_RETURN
+            records = None
+        elif code == 1:  # FLOW_COND_BRANCH
+            records = (DynamicInstruction(instr, False, fallthrough),
+                       DynamicInstruction(instr, True, taken_target))
+        elif code == 5:  # FLOW_INDIRECT_JUMP
+            records = tuple(DynamicInstruction(instr, True, target)
+                            for target in switch_targets)
+        else:  # plain, direct jump or call: a static successor
+            records = (DynamicInstruction(
+                instr, code != 0, taken_target if code else fallthrough),)
         plan = (
             instr,
             code,
-            instr.taken_target,
-            instr.fallthrough,
+            taken_target,
+            fallthrough,
             branch_state.next_taken if branch_state is not None else None,
             mem_state.next_address if mem_state is not None else None,
             switch_state.next_index if switch_state is not None else None,
-            self.program.switch_targets.get(address),
+            switch_targets,
+            records,
         )
         self._plans[address] = plan
         return plan
 
-    #: Skip-block compilation stops after this many instructions (bounds
+    #: Block compilation stops after this many instructions (bounds
     #: compile time on direct-jump cycles; a capped block simply chains
     #: into the next one).
-    _SKIP_BLOCK_CAP = 128
+    _BLOCK_CAP = 128
 
     def _block_extent(self, start: int, on_static) -> tuple:
         """Walk the deterministic stretch of static control flow at ``start``.
@@ -136,7 +170,7 @@ class StreamWalker:
         successors are static — calling ``on_static(pc, plan)`` for each,
         and stops at the first instruction whose outcome consumes dynamic
         state (conditional branch, return, indirect jump), at an unmapped
-        address, or after :attr:`_SKIP_BLOCK_CAP` instructions.  Returns
+        address, or after :attr:`_BLOCK_CAP` instructions.  Returns
         ``(count, exit_pc, terminator_plan)``: the terminator is the
         instruction at ``exit_pc``, stepped individually after the block,
         and its plan is ``None`` when ``exit_pc`` is unmapped.
@@ -153,39 +187,81 @@ class StreamWalker:
                     return n, pc, None
                 plan = self._compile_plan(instr)
             code = plan[1]
-            if code not in (0, 2, 3) or n == self._SKIP_BLOCK_CAP:
+            if code not in (0, 2, 3) or n == self._BLOCK_CAP:
                 return n, pc, plan
             on_static(pc, plan)
             pc = plan[3] if code == 0 else plan[2]
             n += 1
 
-    def _compile_skip_block(self, start: int) -> tuple:
-        """Compile the basic block at ``start`` for block-granular skipping.
+    def _compile_block(self, start: int) -> tuple:
+        """Compile the fused block at ``start``, shared by the walk and the skip.
 
-        Returns ``(count, effects, exit_pc, terminator_plan)`` (see
-        :meth:`_block_extent`): ``effects`` is the flat, ordered tuple of
-        zero-argument side effects a walk of the ``count`` block
-        instructions performs — a memory instruction's address draw (the
-        behaviour state's bound ``next_address``) and a call's
-        return-address push (``partial(call_stack.append, ret)``).
-        Calling them in order keeps the shared RNG and the call stack
-        bit-identical to an instruction-by-instruction walk, and carrying
-        the terminator's plan lets one dict probe cover the block and the
-        instruction that ends it.
+        Returns ``(count, exit_pc, terminator_plan, records, draws,
+        slots, pushes, prefix)`` for the ``count`` block instructions
+        (see :meth:`_block_extent`):
+
+        * ``records`` — their records in order, the shared ones prebuilt
+          and ``None`` where a memory instruction allocates;
+        * ``draws`` — the memory instructions' address draws in order
+          (the behaviour states' bound ``next_address``);
+        * ``slots`` — ``(position, instr, taken, next_address, draw)``
+          per memory instruction, to build its record in place;
+        * ``pushes`` — the return addresses the block's calls push;
+        * ``prefix`` — ``(pc, draws, pushes)`` before each of the
+          ``count + 1`` positions, so a batch or skip boundary inside
+          the block replays the first *k* entries.
+
+        Call pushes never touch the RNG, so replaying them after the
+        draws leaves both the RNG stream and the call stack bit-identical
+        to an instruction-by-instruction walk.
         """
-        push = self._call_stack.append
-        effects: list = []
+        records: list = []
+        draws: list = []
+        slots: list = []
+        pushes: list[int] = []
+        prefix: list[tuple] = []
 
-        def on_static(_pc, plan):
-            if plan[1] == 3:  # FLOW_CALL: push the return address
-                effects.append(partial(push, plan[3]))
-            if plan[5] is not None:
-                effects.append(plan[5])
+        def on_static(pc, plan):
+            prefix.append((pc, len(draws), len(pushes)))
+            instr, code, taken_target, fallthrough = plan[:4]
+            if code == 3:  # FLOW_CALL: push the return address
+                pushes.append(fallthrough)
+            shared = plan[8]
+            if shared is None:
+                draw = plan[5]
+                slots.append((len(records), instr, code != 0,
+                              taken_target if code else fallthrough, draw))
+                draws.append(draw)
+                records.append(None)
+            else:
+                records.append(shared[0])
 
         n, exit_pc, terminator = self._block_extent(start, on_static)
-        block = (n, tuple(effects), exit_pc, terminator)
-        self._skip_blocks[start] = block
+        prefix.append((exit_pc, len(draws), len(pushes)))
+        block = (n, exit_pc, terminator, tuple(records), tuple(draws),
+                 tuple(slots), tuple(pushes), tuple(prefix))
+        self._blocks[start] = block
         return block
+
+    def _replay_prefix(self, block: tuple, k: int, out: list | None) -> None:
+        """Replay the first ``k`` instructions of ``block`` (``k`` ≤ its count).
+
+        Makes their address draws and call pushes and moves the pc past
+        them; with ``out``, also appends their records.  The partial
+        block a batch or skip boundary falls inside.
+        """
+        pc, ndraws, npushes = block[7][k]
+        if out is None:
+            for draw in block[4][:ndraws]:
+                draw()
+        else:
+            base = len(out)
+            out += block[3][:k]
+            for i, instr, taken, next_address, draw in block[5][:ndraws]:
+                out[base + i] = DynamicInstruction(instr, taken,
+                                                   next_address, draw())
+        self._call_stack.extend(block[6][:npushes])
+        self._pc = pc
 
     def _unmapped_error(self, pc: int) -> WorkloadError:
         """The fault of control flowing to ``pc``, which holds no instruction."""
@@ -202,81 +278,122 @@ class StreamWalker:
     def skip(self, count: int, profile: dict | None = None) -> int:
         """Advance ``count`` instructions without materialising them.
 
-        The fast-forward path of the sampled simulator: identical control
-        flow and behaviour-state evolution to :meth:`next_batch` (every
-        branch/memory/switch draw is still made, in the same order, so
-        the RNG stream and walker state stay bit-identical to a full
-        walk), but :class:`~repro.isa.instruction.DynamicInstruction`
-        records are allocated only for the final partial block.  The
-        walk advances a *fused block* at a time: one dict probe yields
-        the compiled basic block — its count, its flat tuple of
-        zero-argument effects (address draws and call pushes), its exit
-        address — and the plan of the dynamic instruction that ends it,
-        which is then resolved inline.  Each behaviour draw is a single
-        Python frame (see :mod:`repro.workloads.behaviors`).  Returns
-        the number of instructions skipped (always ``count`` unless
-        control flow faults).
+        The fast-forward path of the sampled simulator: :meth:`next_batch`
+        without the records.  It replays the same fused blocks — every
+        branch, memory and switch draw in the same order, so the RNG
+        stream and walker state stay bit-identical to a full walk — and
+        returns the number of instructions skipped (always ``count``
+        unless control flow faults).
 
         ``profile`` — a mutable mapping — additionally counts the resolved
         successor of every dynamic CTI (:data:`_DYN_CTI_FLOWS`) into it,
         the phase-signature observer of the adaptive sampler.  Dynamic
         CTIs are exactly the block terminators, so profiling adds no work
-        to the block effects.
+        to the block bodies.
         """
-        blocks_get = self._skip_blocks.get
+        self._walk(count, None, profile)
+        return count
+
+    def next_batch(self, count: int) -> list[DynamicInstruction]:
+        """Step ``count`` instructions in one call, returning them in order.
+
+        The walker is endless, so a full batch is always produced unless
+        control flow faults.  The returned records may be shared with
+        other batches: treat them as read-only.
+        """
+        out: list[DynamicInstruction] = []
+        self._walk(count, out, None)
+        return out
+
+    def _walk(self, count: int, out: list | None,
+              profile: dict | None) -> None:
+        """Step ``count`` instructions a fused block at a time.
+
+        Per block, one dict probe yields its count, exit address,
+        terminator plan, address draws, call pushes and records.  With
+        ``out`` (the detailed walk) a block without memory instructions
+        enters the batch with one ``list.extend`` of its shared records,
+        and a memory instruction's record is built in place; without it
+        (the skip) the block only makes its draws.  The dynamic
+        terminator is then resolved inline, reusing its per-direction or
+        per-target record when it has no memory access.  A boundary
+        inside a block replays that block's first entries.
+        """
+        append = None if out is None else out.append
+        blocks_get = self._blocks.get
         call_stack = self._call_stack
+        dyn_instr = DynamicInstruction
         pc = self._pc
-        skipped = 0
+        left = count
         try:
             while True:
                 block = blocks_get(pc)
                 if block is None:
-                    block = self._compile_skip_block(pc)
-                n, effects, exit_pc, plan = block
-                if skipped + n + 1 > count:
+                    block = self._compile_block(pc)
+                n, exit_pc, plan, records, draws, slots, pushes, _ = block
+                if n >= left:
                     break
                 pc = exit_pc
                 if plan is None:
                     raise self._unmapped_error(pc)
-                for effect in effects:
-                    effect()
-                skipped += n + 1
-                code = plan[1]
-                if code == 1:  # FLOW_COND_BRANCH
-                    pc = plan[2] if plan[4]() else plan[3]
-                elif code == 4:  # FLOW_RETURN
-                    if not call_stack:
-                        raise self._empty_stack_error(pc)
-                    pc = call_stack.pop()
-                elif code == 5:  # FLOW_INDIRECT_JUMP
-                    pc = plan[7][plan[6]()]
-                elif code == 3:  # FLOW_CALL (a capped block's terminator)
-                    call_stack.append(plan[3])
-                    pc = plan[2]
-                elif code == 2:  # FLOW_DIRECT_JUMP
-                    pc = plan[2]
+                if out is None:
+                    for draw in draws:
+                        draw()
+                elif slots:
+                    base = len(out)
+                    out += records
+                    for i, instr, taken, next_address, draw in slots:
+                        out[base + i] = dyn_instr(instr, taken, next_address,
+                                                  draw())
                 else:
-                    pc = plan[3]
-                if profile is not None and (code == 1 or code >= 4):
-                    profile[pc] = profile.get(pc, 0) + 1
-                if plan[5] is not None:
-                    plan[5]()
+                    out += records
+                if pushes:
+                    call_stack.extend(pushes)
+                left -= n + 1
+                (instr, code, taken_target, fallthrough, next_taken,
+                 next_mem, next_index, switch_targets, shared) = plan
+                if code == 1:  # FLOW_COND_BRANCH
+                    k = next_taken()
+                    pc = taken_target if k else fallthrough
+                elif code == 5:  # FLOW_INDIRECT_JUMP
+                    k = next_index()
+                    pc = switch_targets[k]
+                else:
+                    k = 0
+                    if code == 4:  # FLOW_RETURN
+                        if not call_stack:
+                            raise self._empty_stack_error(pc)
+                        pc = call_stack.pop()
+                    elif code == 3:  # FLOW_CALL (a capped block's terminator)
+                        call_stack.append(fallthrough)
+                        pc = taken_target
+                    elif code == 2:  # FLOW_DIRECT_JUMP
+                        pc = taken_target
+                    else:
+                        pc = fallthrough
+                if append is not None:
+                    if shared is not None:
+                        append(shared[k])
+                    else:
+                        append(dyn_instr(
+                            instr, k if code == 1 else code != 0, pc,
+                            None if next_mem is None else next_mem(),
+                        ))
+                else:
+                    if profile is not None and (code == 1 or code >= 4):
+                        profile[pc] = profile.get(pc, 0) + 1
+                    if next_mem is not None:
+                        next_mem()
         finally:
             self._pc = pc
-        # The remainder is shorter than one block: walk it as records.
-        tail = self.next_batch(count - skipped)
-        if profile is not None:
-            for dyn in tail:
-                if dyn.instr.flow_code in _DYN_CTI_FLOWS:
-                    target = dyn.next_address
-                    profile[target] = profile.get(target, 0) + 1
-        return skipped + len(tail)
+        # The remainder holds no dynamic CTI, so there is nothing to profile.
+        self._replay_prefix(block, left, out)
 
     def _compile_warm_block(self, start: int, fetch, train,
                             line_shift: int) -> tuple:
         """Compile the basic block at ``start`` for warmed skipping.
 
-        Same block and terminator as :meth:`_compile_skip_block`, with
+        Same extent and terminator as :meth:`_compile_block`, with
         the warming work of a walk of the block folded in.  Returns
         ``(count, head_line, effects, exit_pc, terminator_plan,
         exit_line)``.  ``effects`` is the ordered tuple of
@@ -324,8 +441,8 @@ class StreamWalker:
         """:meth:`skip` with functional warming of caches and predictor.
 
         The sampled simulator's fast-forward with always-on warming
-        (SMARTS-style): no :class:`DynamicInstruction` is allocated
-        before the final partial block, but ``fetch(address)`` is probed
+        (SMARTS-style): no record is made before the final partial
+        block (walked by :meth:`next_batch`), but ``fetch(address)`` is probed
         once per new instruction-cache line (``line_shift`` = log2 of the
         line size), ``touch(mem_addr)`` once per memory access and
         ``train(instr, taken, next_address)`` once per CTI, so icache,
@@ -409,60 +526,6 @@ class StreamWalker:
             if dyn.mem_addr is not None:
                 touch(dyn.mem_addr)
         return skipped + len(tail)
-
-    def next_batch(self, count: int) -> list[DynamicInstruction]:
-        """Step ``count`` instructions in one call, returning them in order.
-
-        The stepping state is held in locals across the whole batch — the
-        bulk interface the simulator's segmentation loop uses (the walker
-        is endless, so a full batch is always produced unless control
-        flow faults).
-        """
-        out: list[DynamicInstruction] = []
-        append = out.append
-        plans_get = self._plans.get
-        call_stack = self._call_stack
-        dyn_instr = DynamicInstruction
-        pc = self._pc
-        try:
-            for _ in range(count):
-                plan = plans_get(pc)
-                if plan is None:
-                    try:
-                        instr = self.program.instructions[pc]
-                    except KeyError as exc:
-                        raise self._unmapped_error(pc) from exc
-                    plan = self._compile_plan(instr)
-                (instr, code, taken_target, fallthrough,
-                 next_taken, next_mem, next_index, switch_targets) = plan
-
-                if code:
-                    taken = True
-                    if code == 1:  # FLOW_COND_BRANCH
-                        taken = next_taken()
-                        next_address = taken_target if taken else fallthrough
-                    elif code == 2:  # FLOW_DIRECT_JUMP
-                        next_address = taken_target
-                    elif code == 3:  # FLOW_CALL
-                        call_stack.append(fallthrough)
-                        next_address = taken_target
-                    elif code == 4:  # FLOW_RETURN
-                        if not call_stack:
-                            raise self._empty_stack_error(pc)
-                        next_address = call_stack.pop()
-                    else:  # FLOW_INDIRECT_JUMP
-                        next_address = switch_targets[next_index()]
-                else:
-                    taken = False
-                    next_address = fallthrough
-
-                mem_addr = next_mem() if next_mem is not None else None
-                append(dyn_instr(instr, taken, next_address, mem_addr))
-                pc = next_address
-        finally:
-            self._pc = pc
-        return out
-
 
 class InstructionStream:
     """A walker bounded to a fixed instruction budget.

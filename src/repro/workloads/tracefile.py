@@ -184,7 +184,7 @@ class ArtifactReplayWalker:
 
     __slots__ = (
         "_artifact", "_instructions", "_index", "_taken", "_next", "_mem",
-        "_addresses", "_raw", "_dyn_cti", "_pos", "_total",
+        "_addresses", "_shared", "_raw", "_dyn_cti", "_pos", "_total",
     )
 
     def __init__(self, artifact: "TraceArtifact"):
@@ -192,35 +192,20 @@ class ArtifactReplayWalker:
         self._instructions = artifact.instructions
         self._index, self._taken, self._next, self._mem = artifact._columns()
         self._addresses = artifact._address_table()
+        self._shared = artifact._shared_records()
         self._raw = artifact._dyn
         self._dyn_cti = None
         self._pos = 0
         self._total = len(artifact)
 
     def next_batch(self, count: int) -> list[DynamicInstruction]:
-        """Decode ``count`` recorded instructions in one call, in order.
-
-        Iterates C-level ``zip`` over column slices rather than indexing
-        four lists per row — measurably faster on the bulk-replay path.
-        """
+        """Decode ``count`` recorded instructions in one call, in order."""
         i = self._pos
         end = min(i + count, self._total)
         if end <= i:
             return []
-        instructions = self._instructions
-        no_mem = int(_NO_MEM)
-        dyn_instr = DynamicInstruction
-        out = [
-            dyn_instr(instructions[s], t, n, None if m == no_mem else m)
-            for s, t, n, m in zip(
-                self._index[i:end],
-                self._taken[i:end],
-                self._next[i:end],
-                self._mem[i:end],
-            )
-        ]
         self._pos = end
-        return out
+        return self.materialize(i, end)
 
     def raw_batch(self, count: int):
         """Consume up to ``count`` rows without decoding them.
@@ -237,12 +222,20 @@ class ArtifactReplayWalker:
         return i, self._index[i:end]
 
     def materialize(self, lo: int, hi: int) -> list[DynamicInstruction]:
-        """Decode recorded rows ``[lo, hi)`` independently of the cursor."""
+        """Decode recorded rows ``[lo, hi)`` independently of the cursor.
+
+        A row of a static instruction with a static outcome reuses the
+        artifact's shared record (:meth:`TraceArtifact._shared_records`);
+        only the others allocate.  Iterates C-level ``zip`` over column
+        slices rather than indexing four lists per row.
+        """
         instructions = self._instructions
+        shared = self._shared
         no_mem = int(_NO_MEM)
         dyn_instr = DynamicInstruction
         return [
-            dyn_instr(instructions[s], t, n, None if m == no_mem else m)
+            shared[s]
+            or dyn_instr(instructions[s], t, n, None if m == no_mem else m)
             for s, t, n, m in zip(
                 self._index[lo:hi],
                 self._taken[lo:hi],
@@ -406,7 +399,7 @@ class TraceArtifact:
     __slots__ = (
         "path", "app_name", "suite", "seed", "length",
         "instructions", "prewarm_code", "prewarm_data",
-        "_dyn", "_cols", "_addrs", "_warm_np", "_scan",
+        "_dyn", "_cols", "_addrs", "_shared", "_warm_np", "_scan",
         "_segments", "_cold_plans",
     )
 
@@ -423,6 +416,7 @@ class TraceArtifact:
         self._dyn = dyn
         self._cols = None
         self._addrs = None
+        self._shared = None
         self._warm_np = None
         self._scan = None
         self._segments = None
@@ -485,6 +479,40 @@ class TraceArtifact:
         if self._addrs is None:
             self._addrs = [instr.address for instr in self.instructions]
         return self._addrs
+
+    def _shared_records(self) -> list:
+        """Per-static shared records, indexed by static-table index.
+
+        The generating walker's record policy: a static instruction with
+        a static successor (plain, software interrupt, direct jump, call)
+        whose rows never access memory gets one prebuilt
+        :class:`DynamicInstruction`, which every decode of its rows
+        reuses; the entry is ``None`` for every other instruction.  A
+        static instruction is shared only if every recorded row matches
+        its prebuilt record, so decoding stays bit-identical.
+        """
+        if self._shared is None:
+            statics = self.instructions
+            dyn = self._dyn
+            idx = dyn["index"]
+            taken = np.array([instr.flow_code in (FLOW_DIRECT_JUMP, FLOW_CALL)
+                              for instr in statics], dtype=np.bool_)
+            nxt = np.array(
+                [instr.taken_target if taken[s] else instr.fallthrough
+                 for s, instr in enumerate(statics)],
+                dtype=np.uint64,
+            )
+            dynamic = np.array([instr.flow_code in _DYN_CTI_FLOWS
+                                for instr in statics], dtype=np.bool_)
+            mismatch = ((dyn["mem"] != _NO_MEM) | (dyn["taken"] != taken[idx])
+                        | (dyn["next"] != nxt[idx]))
+            dynamic[idx[mismatch]] = True
+            self._shared = [
+                None if dynamic[s]
+                else DynamicInstruction(instr, bool(taken[s]), int(nxt[s]))
+                for s, instr in enumerate(statics)
+            ]
+        return self._shared
 
     def _warm_np_tables(self):
         """Per-static numpy tables for vectorized warm replay.

@@ -18,13 +18,13 @@ enforces the acceptance criteria directly:
 
 Estimates are deterministic, so every accuracy assertion is exact; only
 the wall-clock gate measures time, and it pools across pairs (best-of-2
-each) to stay robust against scheduler noise.  The
-full-detail baselines are timed with ``cold_reference=True`` — each in a
-fresh interpreter — because inside this long-lived pytest process
-earlier modules have already built the prewarm/plan memos, which makes
-an in-process reference ~40% faster than any standalone full-detail run
-and silently shifts the protocol every quoted sampling speedup (PR 4's
-fixed table included) was measured under.
+each) to stay robust against scheduler noise.  The harness times every
+full-detail baseline in a fresh interpreter, because inside this
+long-lived pytest process earlier modules have already built the
+prewarm/plan memos, which makes an in-process reference ~40% faster than
+any standalone full-detail run and silently shifts the protocol every
+quoted sampling speedup (the first fixed-interval table included) was
+measured under.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ def frontier(artifact_root):
         warnings.simplefilter("ignore", SamplingWarning)
         harness = AccuracyHarness(
             length=GOLDEN_LENGTH, source="artifact", root=root, repeat=2,
-            cold_reference=True,
         )
         return {
             "fixed": harness.sweep(SamplingConfig()),
